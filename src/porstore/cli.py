@@ -16,7 +16,7 @@ import sys
 
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
-from .erasure import DEFAULT_REDUNDANCY, shard_byte_length, encode as rs_encode
+from .erasure import DEFAULT_REDUNDANCY, shard_byte_length
 from .errors import PorstoreError
 from .merkle import Block, build_tree, hash_bytes
 from .pos import (
@@ -24,12 +24,12 @@ from .pos import (
     DEFAULT_BLOCK_SIZE,
     DEFAULT_K_PRIME,
     FileManifest,
+    build_manifest,
     challenge_to_dict,
     derive_sampling_challenge,
     respond_sampling,
     verify_sampling,
     response_to_dict,
-    split_blocks,
 )
 from .porep import DEFAULT_DELAY_ITERS, SealParams, replica_manifest_to_dict, seal_file, seal_params_from_dict
 from .post import (
@@ -53,6 +53,13 @@ def _cost_model() -> CostModel:
     if path:
         return CostModel.from_json_file(path)
     return CostModel()
+
+
+def _epoch(value: str) -> int:
+    """argparse type for --epoch, which challenges encode as 8 bytes."""
+    if not value.isdecimal() or int(value) >= 1 << 64:
+        raise argparse.ArgumentTypeError(f"epoch must be an integer in [0, 2^64), got {value!r}")
+    return int(value)
 
 
 def _seed_bytes(value: str | None) -> bytes:
@@ -109,6 +116,7 @@ def cmd_store(args) -> int:
     file_id = args.file_id or os.path.basename(args.file)
     os.makedirs(args.out_dir, exist_ok=True)
 
+    coding = None
     if args.code:
         if len(args.code) == 1:
             k_data, n_total = args.code[0], DEFAULT_REDUNDANCY * args.code[0]
@@ -121,23 +129,9 @@ def cmd_store(args) -> int:
             raise PorstoreError(
                 f"--code k_data={k_data} but the file splits into {block_count} blocks of {args.block_size}"
             )
-        raw = [b.data for b in split_blocks(data, args.block_size)]
-        encoded = rs_encode(raw, CodeParams(k_data, n_total))
-        blocks = [Block(i, shard) for i, shard in encoded.shards]
         coding = CodeParams(k_data, n_total)
-    else:
-        blocks = split_blocks(data, args.block_size)
-        coding = None
 
-    tree = build_tree(blocks)
-    manifest = FileManifest(
-        file_id=file_id,
-        total_length=len(data),
-        block_size=args.block_size,
-        k=len(blocks),
-        merkle_root=tree.root,
-        coding=coding,
-    )
+    manifest, blocks, _ = build_manifest(file_id, data, args.block_size, coding)
     for b in blocks:
         with open(_block_path(args.out_dir, manifest, b.index), "wb") as fh:
             fh.write(b.data)
@@ -336,11 +330,9 @@ def cmd_share_join(args) -> int:
     original_length = None
     for path in args.shares:
         d = _read_json(path)
-        p = ShareParams(
-            threshold=d["params"]["threshold"],
-            share_count=d["params"]["share_count"],
-            field_modulus=int(d["params"]["field_modulus"]),
-        )
+        if int(d["params"]["field_modulus"]) != ShareParams.field_modulus:
+            raise PorstoreError(f"share file {path} is not over the field p = {ShareParams.field_modulus}")
+        p = ShareParams(threshold=d["params"]["threshold"], share_count=d["params"]["share_count"])
         if params is None:
             params, original_length = p, d["original_length"]
         elif p != params or d["original_length"] != original_length:
@@ -408,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store-dir", required=True)
     p.add_argument("--k-prime", type=int, default=DEFAULT_K_PRIME)
     p.add_argument("--seed", help="32-byte hex challenge seed (default: fresh entropy)")
-    p.add_argument("--epoch", type=int, default=0)
+    p.add_argument("--epoch", type=_epoch, default=0)
     p.add_argument("--transcript-dir")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
@@ -431,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replica-manifest", required=True)
     p.add_argument("--replica-dir", required=True)
     p.add_argument("--c0", help="32-byte hex initial challenge (default: derived from replica root and --epoch)")
-    p.add_argument("--epoch", type=int, default=0)
+    p.add_argument("--epoch", type=_epoch, default=0)
     p.add_argument("--length", type=int, default=DEFAULT_CHAIN_LENGTH)
     p.add_argument("--k-prime", type=int, default=DEFAULT_K_PRIME)
     p.add_argument("--out", required=True)

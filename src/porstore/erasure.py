@@ -16,15 +16,34 @@ so parity shards store each symbol as 3 little-endian bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .encoding import bytes_to_symbols, symbols_to_bytes
 from .errors import DuplicateShard, InsufficientShards, InvalidParams, RaggedInput
 from .field import lagrange_at
-from .pos import CodeParams
 
 SYMBOL_BITS = 15
 PARITY_SYMBOL_BYTES = 3
 DEFAULT_REDUNDANCY = 2  # shipped n_total / k_data ratio
+
+
+@dataclass(frozen=True)
+class CodeParams:
+    """Systematic Reed-Solomon shape: k_data in, n_total out.
+
+    The field is fixed: 15-bit symbols and 3-byte parity slots are sized
+    for GF(65537), and any other modulus would corrupt data.
+    """
+
+    k_data: int
+    n_total: int
+    field_modulus: ClassVar[int] = 65537
+
+    def __post_init__(self):
+        if not 1 <= self.k_data <= self.n_total:
+            raise InvalidParams("need 1 <= k_data <= n_total")
+        if self.n_total > self.field_modulus - 1:
+            raise InvalidParams("n_total exceeds available evaluation points")
 
 
 @dataclass(frozen=True)

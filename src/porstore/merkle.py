@@ -30,6 +30,17 @@ def hash_bytes(data: bytes) -> Digest:
     return sha256(data).digest()
 
 
+def expand_bytes(seed: bytes, length: int) -> bytes:
+    """Counter-mode expansion: H(seed || 0_le64) || H(seed || 1_le64) || ...,
+    cut to length bytes."""
+    out = bytearray()
+    counter = 0
+    while len(out) < length:
+        out.extend(hash_bytes(seed + le64(counter)))
+        counter += 1
+    return bytes(out[:length])
+
+
 @dataclass(frozen=True)
 class Block:
     """One file block: index plus (padded) payload bytes."""

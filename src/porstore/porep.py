@@ -16,12 +16,13 @@ delay encoding, not a production one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 from .costs import CostModel, SimClock, TimingPolicy
 from .encoding import le64
 from .errors import EmptyInput, InvalidParams
-from .merkle import Block, Digest, MerkleTree, build_tree, hash_bytes, path_length
+from .merkle import Block, Digest, MerkleTree, build_tree, expand_bytes, hash_bytes, path_length
 from .pos import FileManifest, SamplingChallenge, SamplingResponse, respond_sampling, verify_sampling
 
 DEFAULT_DELAY_ITERS = 10_000
@@ -65,12 +66,7 @@ def keystream(params: SealParams, index: int, block_size: int) -> bytes:
     state = hash_bytes(params.node_tag + params.salt + le64(index))
     for _ in range(params.delay_iters):
         state = hash_bytes(state)
-    out = bytearray()
-    counter = 0
-    while len(out) < block_size:
-        out.extend(hash_bytes(state + le64(counter)))
-        counter += 1
-    return bytes(out[:block_size])
+    return expand_bytes(state, block_size)
 
 
 def seal_block(data: bytes, params: SealParams, index: int) -> bytes:
@@ -101,6 +97,17 @@ def honest_response_cost(k: int, indices: tuple[int, ...], cost: CostModel) -> i
     return sum(cost.block_read_cost + path_length(k, i) * cost.hash_cost for i in indices)
 
 
+def respond_timed(
+    blocks: Mapping[int, bytes], tree: MerkleTree, challenge: SamplingChallenge, clock: SimClock, units: int
+) -> PoRepProof:
+    """Answer from a block store (anything with .get(index)) and its tree,
+    charging the clock `units` of simulated time for the work."""
+    started = clock.now
+    response = respond_sampling(blocks, tree, challenge)
+    clock.advance(units)
+    return PoRepProof(challenge=challenge, response=response, started_at=started, finished_at=clock.now)
+
+
 def porep_respond(
     replica: Replica,
     challenge: SamplingChallenge,
@@ -110,11 +117,8 @@ def porep_respond(
 ) -> PoRepProof:
     """Honest prover: read sealed blocks, serve paths, charge the clock."""
     tree = tree or replica_tree(replica)
-    started = clock.now
-    store = {i: d for i, d in enumerate(replica.sealed_blocks)}
-    response = respond_sampling(store, tree, challenge)
-    clock.advance(honest_response_cost(len(replica.sealed_blocks), challenge.indices, cost))
-    return PoRepProof(challenge=challenge, response=response, started_at=started, finished_at=clock.now)
+    units = honest_response_cost(len(replica.sealed_blocks), challenge.indices, cost)
+    return respond_timed(dict(enumerate(replica.sealed_blocks)), tree, challenge, clock, units)
 
 
 def porep_verify(manifest: FileManifest, replica_root: Digest, proof: PoRepProof, policy: TimingPolicy) -> bool:
@@ -130,16 +134,7 @@ def porep_verify(manifest: FileManifest, replica_root: Digest, proof: PoRepProof
     if policy.expected_cost is not None:
         if elapsed != honest_response_cost(manifest.k, proof.challenge.indices, policy.expected_cost):
             return False
-    audit_manifest = FileManifest(
-        file_id=manifest.file_id,
-        total_length=manifest.total_length,
-        block_size=manifest.block_size,
-        k=manifest.k,
-        merkle_root=replica_root,
-        coding=manifest.coding,
-        seal_tag=manifest.seal_tag,
-    )
-    return verify_sampling(audit_manifest, proof.challenge, proof.response)
+    return verify_sampling(replace(manifest, merkle_root=replica_root), proof.challenge, proof.response)
 
 
 # ---------------------------------------------------------------------------

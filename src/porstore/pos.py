@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .encoding import le64
+from .erasure import CodeParams, encode as rs_encode
 from .errors import EmptyInput, InvalidParams, NonceReplay
 from .merkle import Block, Digest, MerklePath, MerkleTree, build_tree, hash_bytes, prove_leaf, verify_leaf
 
@@ -33,21 +34,6 @@ DEFAULT_K_PRIME = 20
 # ---------------------------------------------------------------------------
 # File manifests
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Systematic Reed-Solomon shape: k_data in, n_total out."""
-
-    k_data: int
-    n_total: int
-    field_modulus: int = 65537
-
-    def __post_init__(self):
-        if not 1 <= self.k_data <= self.n_total:
-            raise InvalidParams("need 1 <= k_data <= n_total")
-        if self.n_total > self.field_modulus - 1:
-            raise InvalidParams("n_total exceeds available evaluation points")
-
 
 @dataclass(frozen=True)
 class FileManifest:
@@ -106,9 +92,15 @@ def split_blocks(data: bytes, block_size: int) -> list[Block]:
     return blocks
 
 
-def build_manifest(file_id: str, data: bytes, block_size: int = DEFAULT_BLOCK_SIZE) -> tuple[FileManifest, list[Block], MerkleTree]:
-    """Block an uncoded file and commit to it."""
+def build_manifest(
+    file_id: str, data: bytes, block_size: int = DEFAULT_BLOCK_SIZE, coding: Optional[CodeParams] = None
+) -> tuple[FileManifest, list[Block], MerkleTree]:
+    """Block a file, erasure-code it when coding is given, and commit to
+    the resulting blocks (or shards)."""
     blocks = split_blocks(data, block_size)
+    if coding is not None:
+        encoded = rs_encode([b.data for b in blocks], coding)
+        blocks = [Block(i, shard) for i, shard in encoded.shards]
     tree = build_tree(blocks)
     manifest = FileManifest(
         file_id=file_id,
@@ -116,6 +108,7 @@ def build_manifest(file_id: str, data: bytes, block_size: int = DEFAULT_BLOCK_SI
         block_size=block_size,
         k=len(blocks),
         merkle_root=tree.root,
+        coding=coding,
     )
     return manifest, blocks, tree
 

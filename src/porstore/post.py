@@ -13,6 +13,7 @@ every sampled block of every link.  `transcript_stats` measures that cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .costs import CostModel, SimClock, TimingPolicy
 from .encoding import le64
@@ -21,6 +22,7 @@ from .merkle import Digest, MerkleTree, hash_bytes
 from .pos import (
     DEFAULT_K_PRIME,
     FileManifest,
+    SamplingChallenge,
     challenge_from_dict,
     derive_sampling_challenge,
     response_from_dict,
@@ -57,6 +59,24 @@ def chain_seed(c0: bytes, counter: int, previous: PoRepProof | None) -> Digest:
     return hash_bytes(c0 + le64(counter) + canonical_encode(previous))
 
 
+def run_chain(
+    c0: bytes, length: int, k: int, k_prime: int, respond: Callable[[int, SamplingChallenge], PoRepProof]
+) -> PoStProof:
+    """Drive the chain: link i's challenge is seeded by link i-1's proof and
+    answered by respond(i, challenge), so each link starts only when its
+    predecessor ends."""
+    if length < 1:
+        raise InvalidParams("chain length must be >= 1")
+    proofs: list[PoRepProof] = []
+    previous = None
+    for i in range(length):
+        challenge = derive_sampling_challenge(chain_seed(c0, i, previous), i, k, k_prime)
+        previous = respond(i, challenge)
+        proofs.append(previous)
+    total_cost = proofs[-1].finished_at - proofs[0].started_at
+    return PoStProof(initial_challenge=c0, length=length, proofs=tuple(proofs), total_cost=total_cost)
+
+
 def generate_post(
     replica: Replica,
     c0: bytes,
@@ -66,20 +86,12 @@ def generate_post(
     k_prime: int = DEFAULT_K_PRIME,
     tree: MerkleTree | None = None,
 ) -> PoStProof:
-    """Generate the chain; each link starts only when its predecessor ends."""
-    if length < 1:
-        raise InvalidParams("chain length must be >= 1")
+    """Honest chain over a held replica."""
     tree = tree or replica_tree(replica)
-    k = len(replica.sealed_blocks)
-    started = clock.now
-    proofs: list[PoRepProof] = []
-    previous = None
-    for i in range(length):
-        seed = chain_seed(c0, i, previous)
-        challenge = derive_sampling_challenge(seed, i, k, k_prime)
-        previous = porep_respond(replica, challenge, clock, cost, tree=tree)
-        proofs.append(previous)
-    return PoStProof(initial_challenge=c0, length=length, proofs=tuple(proofs), total_cost=clock.now - started)
+    return run_chain(
+        c0, length, len(replica.sealed_blocks), k_prime,
+        lambda _, challenge: porep_respond(replica, challenge, clock, cost, tree=tree),
+    )
 
 
 def verify_post(manifest: FileManifest, replica_root: Digest, post: PoStProof, policy: TimingPolicy) -> bool:

@@ -13,6 +13,7 @@ encrypted shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .encoding import bytes_to_symbols, symbols_to_bytes
 from .errors import DuplicateShare, InsufficientShares, InvalidParams
@@ -24,9 +25,12 @@ CHUNK_BITS = 60
 
 @dataclass(frozen=True)
 class ShareParams:
+    """t-of-n shape.  The field is fixed: 60-bit chunks need p > 2^60, and
+    any other modulus would corrupt data."""
+
     threshold: int
     share_count: int
-    field_modulus: int = DEFAULT_PRIME
+    field_modulus: ClassVar[int] = DEFAULT_PRIME
 
     def __post_init__(self):
         if not 1 <= self.threshold <= self.share_count:

@@ -6,6 +6,12 @@ Each epoch the auditor derives a fresh challenge from the public
 commitment and the epoch number, every node answers according to its
 behavior, and the verifier's verdicts land in the audit log.
 
+Behaviors are strategy objects: each supplies a label, an identity count,
+a view of the node's block store, and the simulated time it charges per
+response.  The simulator answers every challenge through porep's timed
+response and chains PoSt links through post's chain loop, so the code
+behind the detection reports is the code the CLI runs.
+
 Attack behaviors and how each protocol sees them:
 
 * Dropper      - keeps a (1 - delta) fraction of blocks; sampled audits
@@ -37,33 +43,26 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from random import Random
-from typing import Optional, Union
+from typing import Callable, ClassVar, Mapping, Optional
 
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
-from .erasure import encode as rs_encode
 from .errors import ConfigError, InvalidParams
-from .merkle import Block, MerkleTree, build_tree, hash_bytes, path_length
-from .pos import (
-    CodeParams,
-    FileManifest,
-    SamplingChallenge,
-    derive_sampling_challenge,
-    respond_sampling,
-    verify_sampling,
-)
+from .merkle import Digest, MerkleTree, expand_bytes, hash_bytes, path_length
+from .pos import CodeParams, SamplingChallenge, build_manifest, derive_sampling_challenge, verify_sampling
 from .porep import (
     DEFAULT_DELAY_ITERS,
     PoRepProof,
-    Replica,
     SealParams,
     honest_response_cost,
     porep_verify,
+    replica_tree,
+    respond_timed,
     seal_file,
 )
-from .post import DEFAULT_CHAIN_LENGTH, PoStProof, canonical_encode, chain_seed, verify_post
+from .post import DEFAULT_CHAIN_LENGTH, PoStProof, canonical_encode, run_chain, verify_post
 
 PROTOCOLS = ("pos", "porep", "post")
 
@@ -72,13 +71,56 @@ PROTOCOLS = ("pos", "porep", "post")
 # Node behaviors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Honest:
-    pass
+BlockStore = Mapping[int, bytes]
+# view(store, challenge_seed) -> the store as the node can serve it
+StoreView = Callable[[BlockStore, bytes], BlockStore]
+
+
+def _keep_all(store: BlockStore, challenge_seed: bytes) -> BlockStore:
+    return store
+
+
+class _DropView:
+    """Block store that denies a behavior-determined subset of indices."""
+
+    def __init__(self, base: BlockStore, dropped: Callable[[int], bool]):
+        self._base = base
+        self._dropped = dropped
+
+    def get(self, index: int) -> Optional[bytes]:
+        if self._dropped(index):
+            return None
+        return self._base.get(index)
 
 
 @dataclass(frozen=True)
-class Dropper:
+class Behavior:
+    """A node's strategy.  The defaults are the honest prover's: one
+    identity, every block kept, and the read-plus-path cost per block."""
+
+    label: ClassVar[str]
+    identity_count = 1
+
+    def view(self, node_key: bytes, k: int) -> StoreView:
+        """Bind to one node (node_key = rng_seed || node_id) over k blocks."""
+        return _keep_all
+
+    def charge(
+        self, cost: CostModel, d: int, k: int, indices: tuple[int, ...], identity: int, resealing: bool
+    ) -> int:
+        """Simulated time to answer one challenge.  `resealing` is set when a
+        node that keeps no sealed copy would have to regenerate it now."""
+        return honest_response_cost(k, indices, cost)
+
+
+@dataclass(frozen=True)
+class Honest(Behavior):
+    label = "honest"
+
+
+@dataclass(frozen=True)
+class Dropper(Behavior):
+    label = "dropper"
     drop_fraction: float
     mode: str = "independent"  # or "fixed_subset"
     seed: int = 0
@@ -89,69 +131,68 @@ class Dropper:
         if self.mode not in ("independent", "fixed_subset"):
             raise InvalidParams(f"unknown dropper mode {self.mode!r}")
 
+    def view(self, node_key: bytes, k: int) -> StoreView:
+        key = node_key + le64(self.seed)
+        if self.mode == "fixed_subset":
+            rng = Random(int.from_bytes(hash_bytes(key + b"fixed"), "big"))
+            dropped = frozenset(rng.sample(range(k), round(self.drop_fraction * k)))
+            return lambda store, challenge_seed: _DropView(store, dropped.__contains__)
+        threshold = int(self.drop_fraction * (1 << 64))
+
+        def drop_independently(store: BlockStore, challenge_seed: bytes) -> BlockStore:
+            prefix = key + challenge_seed
+            return _DropView(store, lambda i: int.from_bytes(hash_bytes(prefix + le64(i))[:8], "little") < threshold)
+
+        return drop_independently
+
 
 @dataclass(frozen=True)
-class GenerationAttacker:
-    pass
+class GenerationAttacker(Behavior):
+    label = "generation"
+
+    def charge(self, cost, d, k, indices, identity, resealing):
+        honest = super().charge(cost, d, k, indices, identity, resealing)
+        # keystream chain per challenged block, then the read and path
+        return honest + (len(indices) * d * cost.hash_cost if resealing else 0)
 
 
 @dataclass(frozen=True)
-class SybilAttacker:
+class SybilAttacker(Behavior):
+    label = "sybil"
     identity_count: int = 2
 
     def __post_init__(self):
         if self.identity_count < 2:
             raise InvalidParams("a Sybil attacker needs at least 2 identities")
 
+    def charge(self, cost, d, k, indices, identity, resealing):
+        honest = super().charge(cost, d, k, indices, identity, resealing)
+        # unseal the real replica, reseal under the claimed identity
+        return honest + (len(indices) * 2 * d * cost.hash_cost if identity > 0 else 0)
+
 
 @dataclass(frozen=True)
-class OutsourcingAttacker:
+class OutsourcingAttacker(Behavior):
+    label = "outsourcing"
     holder_id: str = "holder-0"
 
-
-NodeBehavior = Union[Honest, Dropper, GenerationAttacker, SybilAttacker, OutsourcingAttacker]
-
-_BEHAVIOR_LABELS = {
-    Honest: "honest",
-    Dropper: "dropper",
-    GenerationAttacker: "generation",
-    SybilAttacker: "sybil",
-    OutsourcingAttacker: "outsourcing",
-}
+    def charge(self, cost, d, k, indices, identity, resealing):
+        return cost.network_latency + sum(cost.fetch_remote_cost + path_length(k, i) * cost.hash_cost for i in indices)
 
 
-def behavior_label(behavior: NodeBehavior) -> str:
-    return _BEHAVIOR_LABELS[type(behavior)]
+BEHAVIORS = {cls.label: cls for cls in (Honest, Dropper, GenerationAttacker, SybilAttacker, OutsourcingAttacker)}
 
 
-def behavior_to_dict(behavior: NodeBehavior) -> dict:
-    d = {"type": behavior_label(behavior)}
-    if isinstance(behavior, Dropper):
-        d.update(drop_fraction=behavior.drop_fraction, mode=behavior.mode, seed=behavior.seed)
-    elif isinstance(behavior, SybilAttacker):
-        d.update(identity_count=behavior.identity_count)
-    elif isinstance(behavior, OutsourcingAttacker):
-        d.update(holder_id=behavior.holder_id)
-    return d
+def behavior_to_dict(behavior: Behavior) -> dict:
+    return {"type": behavior.label, **asdict(behavior)}
 
 
-def behavior_from_dict(d: dict) -> NodeBehavior:
-    kind = d.get("type")
-    if kind == "honest":
-        return Honest()
-    if kind == "dropper":
-        return Dropper(
-            drop_fraction=d["drop_fraction"],
-            mode=d.get("mode", "independent"),
-            seed=d.get("seed", 0),
-        )
-    if kind == "generation":
-        return GenerationAttacker()
-    if kind == "sybil":
-        return SybilAttacker(identity_count=d.get("identity_count", 2))
-    if kind == "outsourcing":
-        return OutsourcingAttacker(holder_id=d.get("holder_id", "holder-0"))
-    raise ConfigError(f"unknown behavior type {kind!r}")
+def behavior_from_dict(d: dict) -> Behavior:
+    """Inverse of behavior_to_dict; a missing required field raises KeyError."""
+    cls = BEHAVIORS.get(d.get("type"))
+    if cls is None:
+        raise ConfigError(f"unknown behavior type {d.get('type')!r}")
+    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING})
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +205,7 @@ class ExperimentConfig:
     k: int
     k_prime: int
     block_size: int
-    behaviors: tuple[NodeBehavior, ...]
+    behaviors: tuple[Behavior, ...]
     trials: int
     rng_seed: bytes
     coding: Optional[CodeParams] = None
@@ -216,15 +257,6 @@ class ExperimentConfig:
         )
 
 
-def expand_bytes(seed: bytes, length: int) -> bytes:
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(hash_bytes(seed + le64(counter)))
-        counter += 1
-    return bytes(out[:length])
-
-
 # ---------------------------------------------------------------------------
 # World state
 # ---------------------------------------------------------------------------
@@ -247,34 +279,18 @@ class AuditRecord:
 
 
 @dataclass
-class FileState:
-    manifest: FileManifest
-    blocks: list[Block]
-    tree: MerkleTree
-    block_map: dict[int, bytes]
-
-
-@dataclass
 class NodeState:
+    """One node's holdings, indexed by identity.  Under pos every node has
+    a single identity serving the raw file; otherwise each identity holds
+    its own sealed replica (seal_params stays empty under pos)."""
+
     node_id: str
-    behavior: NodeBehavior
+    behavior: Behavior
+    view: StoreView
     seal_params: list[SealParams] = field(default_factory=list)
-    replicas: list[Replica] = field(default_factory=list)
-    replica_trees: list[MerkleTree] = field(default_factory=list)
-    fixed_drop: Optional[frozenset[int]] = None
-
-
-class _DropView:
-    """Block store that denies a behavior-determined subset of indices."""
-
-    def __init__(self, base: dict[int, bytes], dropped):
-        self._base = base
-        self._dropped = dropped
-
-    def get(self, index: int) -> Optional[bytes]:
-        if self._dropped(index):
-            return None
-        return self._base.get(index)
+    roots: list[Digest] = field(default_factory=list)
+    stores: list[BlockStore] = field(default_factory=list)
+    trees: list[MerkleTree] = field(default_factory=list)
 
 
 class SimWorld:
@@ -286,51 +302,27 @@ class SimWorld:
         self.clock = SimClock()
         self.rng_seed = config.rng_seed
         self.audit_log: list[AuditRecord] = []
-        self.files: dict[str, FileManifest] = {}
         self.nodes: dict[str, NodeState] = {}
-        self._file_states: dict[str, FileState] = {}
         self._build()
 
     # -- construction ------------------------------------------------------
 
     def _build(self) -> None:
         cfg = self.config
-        file_id = "file-0"
-        if cfg.coding is None:
-            data = expand_bytes(hash_bytes(self.rng_seed + b"file"), cfg.k * cfg.block_size)
-            blocks = [Block(i, data[i * cfg.block_size : (i + 1) * cfg.block_size]) for i in range(cfg.k)]
-            coding = None
-        else:
-            data = expand_bytes(hash_bytes(self.rng_seed + b"file"), cfg.coding.k_data * cfg.block_size)
-            raw = [data[i * cfg.block_size : (i + 1) * cfg.block_size] for i in range(cfg.coding.k_data)]
-            encoded = rs_encode(raw, cfg.coding)
-            blocks = [Block(i, shard) for i, shard in encoded.shards]
-            coding = cfg.coding
-        tree = build_tree(blocks)
-        manifest = FileManifest(
-            file_id=file_id,
-            total_length=len(data),
-            block_size=cfg.block_size,
-            k=len(blocks),
-            merkle_root=tree.root,
-            coding=coding,
-        )
-        self.files[file_id] = manifest
-        self._file_states[file_id] = FileState(
-            manifest=manifest,
-            blocks=blocks,
-            tree=tree,
-            block_map={b.index: b.data for b in blocks},
-        )
+        k_data = cfg.k if cfg.coding is None else cfg.coding.k_data
+        data = expand_bytes(hash_bytes(self.rng_seed + b"file"), k_data * cfg.block_size)
+        self.manifest, blocks, file_tree = build_manifest("file-0", data, cfg.block_size, cfg.coding)
+        file_store = {b.index: b.data for b in blocks}
 
         for ordinal, behavior in enumerate(cfg.behaviors):
-            node_id = f"{behavior_label(behavior)}-{ordinal}"
-            node = NodeState(node_id=node_id, behavior=behavior)
-            if isinstance(behavior, Dropper) and behavior.mode == "fixed_subset":
-                node.fixed_drop = self._fixed_drop_subset(node_id, behavior, len(blocks))
-            if cfg.protocol in ("porep", "post"):
-                identity_count = behavior.identity_count if isinstance(behavior, SybilAttacker) else 1
-                for j in range(identity_count):
+            node_id = f"{behavior.label}-{ordinal}"
+            node = NodeState(node_id, behavior, behavior.view(self.rng_seed + node_id.encode(), len(blocks)))
+            if cfg.protocol == "pos":
+                node.roots.append(self.manifest.merkle_root)
+                node.stores.append(file_store)
+                node.trees.append(file_tree)
+            else:
+                for j in range(behavior.identity_count):
                     params = SealParams(
                         delay_iters=cfg.delay_iters,
                         node_tag=f"{node_id}:{j}".encode(),
@@ -342,34 +334,10 @@ class SimWorld:
                     # in simulated time instead.
                     replica = seal_file(blocks, params)
                     node.seal_params.append(params)
-                    node.replicas.append(replica)
-                    node.replica_trees.append(
-                        build_tree([Block(i, d) for i, d in enumerate(replica.sealed_blocks)])
-                    )
+                    node.roots.append(replica.replica_root)
+                    node.stores.append(dict(enumerate(replica.sealed_blocks)))
+                    node.trees.append(replica_tree(replica))
             self.nodes[node_id] = node
-
-    def _fixed_drop_subset(self, node_id: str, behavior: Dropper, k: int) -> frozenset[int]:
-        digest = hash_bytes(self.rng_seed + node_id.encode() + le64(behavior.seed) + b"fixed")
-        rng = Random(int.from_bytes(digest, "big"))
-        count = round(behavior.drop_fraction * k)
-        return frozenset(rng.sample(range(k), count))
-
-    # -- behavior plumbing ---------------------------------------------------
-
-    def _drop_view(self, node: NodeState, base: dict[int, bytes], challenge_seed: bytes) -> _DropView:
-        behavior = node.behavior
-        assert isinstance(behavior, Dropper)
-        if behavior.mode == "fixed_subset":
-            dropped_set = node.fixed_drop
-            return _DropView(base, lambda i: i in dropped_set)
-        threshold = int(behavior.drop_fraction * (1 << 64))
-        prefix = self.rng_seed + node.node_id.encode() + le64(behavior.seed) + challenge_seed
-
-        def dropped(i: int) -> bool:
-            word = int.from_bytes(hash_bytes(prefix + le64(i))[:8], "little")
-            return word < threshold
-
-        return _DropView(base, dropped)
 
     def _policy(self, strict: bool) -> TimingPolicy:
         cfg = self.config
@@ -382,168 +350,78 @@ class SimWorld:
 
     # -- audits --------------------------------------------------------------
 
-    def run_audit_epoch(self, epoch: int, protocol: Optional[str] = None) -> list[AuditRecord]:
-        """Challenge every node once and append the verdicts to the log."""
-        if not self.nodes or not self.files:
-            raise ConfigError("world has no registered nodes or files")
-        protocol = protocol or self.config.protocol
-        if protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol {protocol!r}")
+    def run_audit_epoch(self, epoch: int) -> list[AuditRecord]:
+        """Challenge every identity of every node once and log the verdicts."""
+        if not self.nodes:
+            raise ConfigError("world has no registered nodes")
+        protocol = self.config.protocol
+        audit = {"pos": self._audit_pos, "porep": self._audit_porep, "post": self._audit_post}[protocol]
         records = []
-        for file_id in self.files:
-            for node in self.nodes.values():
-                if protocol == "pos":
-                    records.append(self._audit_pos(node, file_id, epoch))
-                else:
-                    identities = range(len(node.seal_params))
-                    for j in identities:
-                        if protocol == "porep":
-                            records.append(self._audit_porep(node, file_id, epoch, j))
-                        else:
-                            records.append(self._audit_post(node, file_id, epoch, j))
+        for node in self.nodes.values():
+            for identity in range(len(node.stores)):
+                ok, reason, elapsed, size = audit(node, identity, epoch)
+                records.append(AuditRecord(
+                    epoch=epoch,
+                    node_id=node.node_id,
+                    file_id=self.manifest.file_id,
+                    protocol=protocol,
+                    verdict="accept" if ok else "reject",
+                    elapsed=elapsed,
+                    reject_reason=None if ok else reason,
+                    identity=identity,
+                    proof_bytes=size,
+                ))
         self.audit_log.extend(records)
         return records
 
-    def _audit_pos(self, node: NodeState, file_id: str, epoch: int) -> AuditRecord:
-        fs = self._file_states[file_id]
-        cfg, cost = self.config, self.cost
-        seed = hash_bytes(fs.manifest.merkle_root + le64(epoch))
-        challenge = derive_sampling_challenge(seed, epoch, fs.manifest.k, cfg.k_prime)
-        behavior = node.behavior
-
-        store = fs.block_map
-        charge = honest_response_cost(fs.manifest.k, challenge.indices, cost)
-        if isinstance(behavior, Dropper):
-            store = self._drop_view(node, fs.block_map, challenge.seed)
-        elif isinstance(behavior, OutsourcingAttacker):
-            charge = cost.network_latency + sum(
-                cost.fetch_remote_cost + path_length(fs.manifest.k, i) * cost.hash_cost for i in challenge.indices
-            )
-
-        started = self.clock.now
-        response = respond_sampling(store, fs.tree, challenge)
-        self.clock.advance(charge)
-        ok = verify_sampling(fs.manifest, challenge, response)
-        size = _response_bytes(challenge, response)
-        return AuditRecord(
-            epoch=epoch,
-            node_id=node.node_id,
-            file_id=file_id,
-            protocol="pos",
-            verdict="accept" if ok else "reject",
-            elapsed=self.clock.now - started,
-            reject_reason=None if ok else "sampling",
-            proof_bytes=size,
+    def _respond(self, node: NodeState, identity: int, challenge: SamplingChallenge, resealing: bool) -> PoRepProof:
+        """One response under the node's behavior; charges the clock."""
+        units = node.behavior.charge(
+            self.cost, self.config.delay_iters, self.manifest.k, challenge.indices, identity, resealing
         )
+        store = node.view(node.stores[identity], challenge.seed)
+        return respond_timed(store, node.trees[identity], challenge, self.clock, units)
 
-    def _porep_link(
-        self, node: NodeState, fs: FileState, identity: int, challenge: SamplingChallenge, resealing: bool
-    ) -> PoRepProof:
-        """One PoRep response under this node's behavior; charges the clock."""
-        cfg, cost = self.config, self.cost
-        behavior = node.behavior
-        replica = node.replicas[identity]
-        tree = node.replica_trees[identity]
-        k = fs.manifest.k
-        base = {i: d for i, d in enumerate(replica.sealed_blocks)}
+    def _challenge(self, node: NodeState, identity: int, epoch: int) -> SamplingChallenge:
+        seed = hash_bytes(node.roots[identity] + le64(epoch))
+        return derive_sampling_challenge(seed, epoch, self.manifest.k, self.config.k_prime)
 
-        store = base
-        charge = honest_response_cost(k, challenge.indices, cost)
-        if isinstance(behavior, Dropper):
-            store = self._drop_view(node, base, challenge.seed)
-        elif isinstance(behavior, GenerationAttacker) and resealing:
-            # keystream chain per challenged block, then the read and path
-            charge += len(challenge.indices) * cfg.delay_iters * cost.hash_cost
-        elif isinstance(behavior, SybilAttacker) and identity > 0:
-            # unseal the real replica, reseal under the claimed identity
-            charge += len(challenge.indices) * 2 * cfg.delay_iters * cost.hash_cost
-        elif isinstance(behavior, OutsourcingAttacker):
-            charge = cost.network_latency + sum(
-                cost.fetch_remote_cost + path_length(k, i) * cost.hash_cost for i in challenge.indices
-            )
+    # Each audit returns (ok, reject reason, elapsed, proof bytes).
 
-        started = self.clock.now
-        response = respond_sampling(store, tree, challenge)
-        self.clock.advance(charge)
-        return PoRepProof(challenge=challenge, response=response, started_at=started, finished_at=self.clock.now)
+    def _audit_pos(self, node: NodeState, identity: int, epoch: int) -> tuple:
+        challenge = self._challenge(node, identity, epoch)
+        # PoS has no seal, so nothing is ever resealed.
+        proof = self._respond(node, identity, challenge, resealing=False)
+        ok = verify_sampling(self.manifest, challenge, proof.response)
+        return ok, "sampling", proof.finished_at - proof.started_at, _response_bytes(challenge, proof.response)
 
-    def _audit_porep(self, node: NodeState, file_id: str, epoch: int, identity: int) -> AuditRecord:
-        fs = self._file_states[file_id]
-        cfg = self.config
-        replica_root = node.replicas[identity].replica_root
-        c0 = hash_bytes(replica_root + le64(epoch))
-        challenge = derive_sampling_challenge(c0, epoch, fs.manifest.k, cfg.k_prime)
-        proof = self._porep_link(node, fs, identity, challenge, resealing=True)
+    def _audit_porep(self, node: NodeState, identity: int, epoch: int) -> tuple:
+        proof = self._respond(node, identity, self._challenge(node, identity, epoch), resealing=True)
         policy = self._policy(strict=False)
-        ok = porep_verify(fs.manifest, replica_root, proof, policy)
-        reason = None
-        if not ok:
-            timing_ok = proof.finished_at - proof.started_at <= policy.t_max
-            reason = "sampling" if timing_ok else "timing"
-        return AuditRecord(
-            epoch=epoch,
-            node_id=node.node_id,
-            file_id=file_id,
-            protocol="porep",
-            verdict="accept" if ok else "reject",
-            elapsed=proof.finished_at - proof.started_at,
-            reject_reason=reason,
-            identity=identity,
-            proof_bytes=len(canonical_encode(proof)),
+        ok = porep_verify(self.manifest, node.roots[identity], proof, policy)
+        elapsed = proof.finished_at - proof.started_at
+        return ok, "timing" if elapsed > policy.t_max else "sampling", elapsed, len(canonical_encode(proof))
+
+    def _audit_post(self, node: NodeState, identity: int, epoch: int) -> tuple:
+        root = node.roots[identity]
+        # Drop-then-reseal: the replica is on disk for the first link and
+        # regenerated for every later one.
+        post = run_chain(
+            hash_bytes(root + le64(epoch)), self.config.post_length, self.manifest.k, self.config.k_prime,
+            lambda i, challenge: self._respond(node, identity, challenge, resealing=i > 0),
         )
-
-    def _audit_post(self, node: NodeState, file_id: str, epoch: int, identity: int) -> AuditRecord:
-        fs = self._file_states[file_id]
-        cfg = self.config
-        replica_root = node.replicas[identity].replica_root
-        c0 = hash_bytes(replica_root + le64(epoch))
-
-        started = self.clock.now
-        proofs: list[PoRepProof] = []
-        previous = None
-        for i in range(cfg.post_length):
-            seed = chain_seed(c0, i, previous)
-            challenge = derive_sampling_challenge(seed, i, fs.manifest.k, cfg.k_prime)
-            # Drop-then-reseal: the replica is on disk for the first link
-            # and regenerated for every later one.
-            resealing = i > 0
-            previous = self._porep_link(node, fs, identity, challenge, resealing=resealing)
-            proofs.append(previous)
-        post = PoStProof(
-            initial_challenge=c0,
-            length=cfg.post_length,
-            proofs=tuple(proofs),
-            total_cost=self.clock.now - started,
-        )
-
         policy = self._policy(strict=True)
-        ok = verify_post(fs.manifest, replica_root, post, policy)
-        reason = None
-        if not ok:
-            if any(p.finished_at - p.started_at > policy.t_max for p in post.proofs):
-                reason = "timing"
-            elif all(verify_sampling_like(fs.manifest, replica_root, p) for p in post.proofs):
-                reason = "chain"
-            else:
-                reason = "sampling"
-        stats_bytes = sum(len(canonical_encode(p)) for p in post.proofs)
-        return AuditRecord(
-            epoch=epoch,
-            node_id=node.node_id,
-            file_id=file_id,
-            protocol="post",
-            verdict="accept" if ok else "reject",
-            elapsed=post.total_cost,
-            reject_reason=reason,
-            identity=identity,
-            proof_bytes=stats_bytes,
-        )
+        ok = verify_post(self.manifest, root, post, policy)
+        reason = None if ok else self._post_reject_reason(root, post, policy)
+        return ok, reason, post.total_cost, sum(len(canonical_encode(p)) for p in post.proofs)
 
-
-def verify_sampling_like(manifest: FileManifest, replica_root: bytes, proof: PoRepProof) -> bool:
-    from dataclasses import replace
-
-    return verify_sampling(replace(manifest, merkle_root=replica_root), proof.challenge, proof.response)
+    def _post_reject_reason(self, replica_root: Digest, post: PoStProof, policy: TimingPolicy) -> str:
+        if any(p.finished_at - p.started_at > policy.t_max for p in post.proofs):
+            return "timing"
+        replica_manifest = replace(self.manifest, merkle_root=replica_root)
+        if all(verify_sampling(replica_manifest, p.challenge, p.response) for p in post.proofs):
+            return "chain"
+        return "sampling"
 
 
 def _response_bytes(challenge: SamplingChallenge, response) -> int:
@@ -553,8 +431,8 @@ def _response_bytes(challenge: SamplingChallenge, response) -> int:
     return total
 
 
-def run_audit_epoch(world: SimWorld, epoch: int, protocol: Optional[str] = None) -> list[AuditRecord]:
-    return world.run_audit_epoch(epoch, protocol)
+def run_audit_epoch(world: SimWorld, epoch: int) -> list[AuditRecord]:
+    return world.run_audit_epoch(epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +444,31 @@ class ReportRow:
     node_id: str
     identity: int
     behavior: str
-    trials: int
-    accepts: int
-    rejects: int
-    elapsed_total: int
-    proof_bytes_total: int
-    reject_reasons: dict[str, int]
+    trials: int = 0
+    accepts: int = 0
+    rejects: int = 0
+    elapsed_total: int = 0
+    proof_bytes_total: int = 0
+    reject_reasons: dict[str, int] = field(default_factory=dict)
+
+    def add(self, record: AuditRecord) -> None:
+        self.trials += 1
+        if record.verdict == "accept":
+            self.accepts += 1
+        else:
+            self.rejects += 1
+            self.reject_reasons[record.reject_reason] = self.reject_reasons.get(record.reject_reason, 0) + 1
+        self.elapsed_total += record.elapsed
+        self.proof_bytes_total += record.proof_bytes
+
+    def merge(self, other: "ReportRow") -> None:
+        self.trials += other.trials
+        self.accepts += other.accepts
+        self.rejects += other.rejects
+        self.elapsed_total += other.elapsed_total
+        self.proof_bytes_total += other.proof_bytes_total
+        for reason, count in other.reject_reasons.items():
+            self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + count
 
     @property
     def accept_rate(self) -> float:
@@ -637,36 +534,20 @@ class DetectionReport:
         return buf.getvalue()
 
 
-def _run_trial_range(config_dict: dict, start: int, stop: int, cost_dict: dict) -> dict:
+def _run_trial_range(
+    config: ExperimentConfig, start: int, stop: int, cost: CostModel
+) -> dict[tuple[str, int], ReportRow]:
     """Worker entry: build a world from scratch and run epochs [start, stop)."""
-    config = ExperimentConfig.from_dict(config_dict)
-    world = SimWorld(config, cost=CostModel.from_dict(cost_dict))
-    acc: dict[tuple[str, int], dict] = {}
+    world = SimWorld(config, cost=cost)
+    rows: dict[tuple[str, int], ReportRow] = {}
     for epoch in range(start, stop):
         for record in world.run_audit_epoch(epoch):
             key = (record.node_id, record.identity)
-            slot = acc.get(key)
-            if slot is None:
-                slot = acc[key] = {
-                    "behavior": behavior_label(world.nodes[record.node_id].behavior),
-                    "trials": 0,
-                    "accepts": 0,
-                    "rejects": 0,
-                    "elapsed_total": 0,
-                    "proof_bytes_total": 0,
-                    "reject_reasons": {},
-                }
-            slot["trials"] += 1
-            if record.verdict == "accept":
-                slot["accepts"] += 1
-            else:
-                slot["rejects"] += 1
-                reasons = slot["reject_reasons"]
-                reasons[record.reject_reason] = reasons.get(record.reject_reason, 0) + 1
-            slot["elapsed_total"] += record.elapsed
-            slot["proof_bytes_total"] += record.proof_bytes
+            if key not in rows:
+                rows[key] = ReportRow(record.node_id, record.identity, world.nodes[record.node_id].behavior.label)
+            rows[key].add(record)
         world.audit_log.clear()  # counts only; keep long runs flat
-    return {f"{node_id}\x00{identity:06d}": slot for (node_id, identity), slot in acc.items()}
+    return rows
 
 
 def run_experiment(config: ExperimentConfig, cost: Optional[CostModel] = None, workers: int = 1) -> DetectionReport:
@@ -678,44 +559,20 @@ def run_experiment(config: ExperimentConfig, cost: Optional[CostModel] = None, w
     byte for byte.
     """
     cost = cost or CostModel()
-    cfg_dict = config.to_dict()
-    cost_dict = cost.to_dict()
     if workers <= 1:
-        partials = [_run_trial_range(cfg_dict, 0, config.trials, cost_dict)]
+        partials = [_run_trial_range(config, 0, config.trials, cost)]
     else:
         bounds = [(config.trials * w) // workers for w in range(workers + 1)]
         chunks = [(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_run_trial_range, cfg_dict, lo, hi, cost_dict) for lo, hi in chunks]
+            futures = [pool.submit(_run_trial_range, config, lo, hi, cost) for lo, hi in chunks]
             partials = [f.result() for f in futures]
 
-    merged: dict[str, dict] = {}
+    rows: dict[tuple[str, int], ReportRow] = {}
     for partial in partials:
-        for key, slot in partial.items():
-            tgt = merged.get(key)
-            if tgt is None:
-                merged[key] = {**slot, "reject_reasons": dict(slot["reject_reasons"])}
-                continue
-            for field_name in ("trials", "accepts", "rejects", "elapsed_total", "proof_bytes_total"):
-                tgt[field_name] += slot[field_name]
-            for reason, count in slot["reject_reasons"].items():
-                tgt["reject_reasons"][reason] = tgt["reject_reasons"].get(reason, 0) + count
-
-    rows = []
-    for key in sorted(merged):
-        node_id, identity = key.split("\x00")
-        slot = merged[key]
-        rows.append(
-            ReportRow(
-                node_id=node_id,
-                identity=int(identity),
-                behavior=slot["behavior"],
-                trials=slot["trials"],
-                accepts=slot["accepts"],
-                rejects=slot["rejects"],
-                elapsed_total=slot["elapsed_total"],
-                proof_bytes_total=slot["proof_bytes_total"],
-                reject_reasons=slot["reject_reasons"],
-            )
-        )
-    return DetectionReport(config=config, cost=cost, rows=rows)
+        for key, row in partial.items():
+            if key in rows:
+                rows[key].merge(row)
+            else:
+                rows[key] = row
+    return DetectionReport(config=config, cost=cost, rows=[rows[key] for key in sorted(rows)])

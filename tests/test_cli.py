@@ -1,6 +1,8 @@
 import json
 import os
+import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +120,17 @@ class TestStoreAndAudit:
                      "--code", "4", "8"]) == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["audit", "m.json", "--store-dir", "s"],
+    ["post", "gen", "--manifest", "m.json", "--replica-manifest", "r.json", "--replica-dir", "r", "--out", "t.json"],
+])
+def test_negative_epoch_refused_at_parse_time(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--epoch", "-1"])
+    assert exc.value.code == 2
+    assert "epoch must be an integer in [0, 2^64)" in capsys.readouterr().err
+
+
 class TestSealAndPost:
     @pytest.fixture
     def sealed(self, stored_file, tmp_path):
@@ -198,6 +211,22 @@ class TestShare:
               "--seed", "ee" * 32, "--out-dir", str(out_dir)])
         shares = sorted(out_dir.glob("s.bin.share*.json"))
         assert main(["share", "join", str(shares[0]), "--out", str(tmp_path / "x.bin")]) == 2
+
+    def test_share_file_with_other_field_modulus_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "s.bin"
+        src.write_bytes(b"small secret")
+        out_dir = tmp_path / "shares"
+        main(["share", "split", str(src), "--threshold", "2", "--shares", "3",
+              "--seed", "ee" * 32, "--out-dir", str(out_dir)])
+        shares = sorted(out_dir.glob("s.bin.share*.json"))
+        tampered = json.loads(shares[1].read_text())
+        tampered["params"]["field_modulus"] = "13"
+        shares[1].write_text(json.dumps(tampered))
+        capsys.readouterr()
+        assert main(["share", "join", str(shares[0]), str(shares[1]), "--out", str(tmp_path / "x.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.bin").exists()
 
 
 class TestExperimentCommand:
@@ -294,12 +323,26 @@ def test_full_pipeline_round_trip(tmp_path):
     assert restored.read_bytes() == data
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def test_console_script_entry_point(tmp_path):
+    with open(os.path.join(REPO, "pyproject.toml")) as fh:
+        scripts = fh.read().split("[project.scripts]")[1].split("\n[")[0]
+    assert 'porstore = "porstore.cli:main"' in scripts.splitlines()
+    # Installed: the console script.  Fresh checkout: the same main via
+    # `python -m porstore` from this checkout's src/.
+    if shutil.which("porstore"):
+        command, env = ["porstore"], None
+    else:
+        src_dir = os.path.join(REPO, "src")
+        command = [sys.executable, "-m", "porstore"]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
     src = tmp_path / "x.bin"
     src.write_bytes(b"entry point smoke test" * 10)
     result = subprocess.run(
-        ["porstore", "store", str(src), "--out-dir", str(tmp_path / "s"), "--block-size", "64", "--json"],
-        capture_output=True, text=True,
+        [*command, "store", str(src), "--out-dir", str(tmp_path / "s"), "--block-size", "64", "--json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["blocks_written"] == 4

@@ -8,7 +8,7 @@ from porstore.encoding import bytes_to_symbols, symbols_to_bytes
 from porstore.erasure import encode, decode, parity_from_bytes
 from porstore.errors import DuplicateShard, InsufficientShards, InvalidParams, RaggedInput
 from porstore.field import inv_mod
-from porstore.pos import CodeParams
+from porstore.erasure import CodeParams
 
 P = 65537
 
@@ -58,6 +58,13 @@ class TestEncode:
     def test_wrong_block_count(self):
         with pytest.raises(InvalidParams):
             encode([b"aa"], CodeParams(2, 3))
+
+
+    def test_field_modulus_is_fixed(self):
+        # 15-bit symbols and 3-byte parity slots are sized for GF(65537).
+        assert CodeParams(2, 4).field_modulus == P
+        with pytest.raises(TypeError):
+            CodeParams(2, 4, 257)
 
 
 class TestDecode:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from porstore.errors import EmptyInput, InvalidParams, NonceReplay
 from porstore.merkle import hash_bytes
 from porstore.pos import (
+    CodeParams,
     FileManifest,
     build_manifest,
     challenge_from_dict,
@@ -179,6 +180,14 @@ class TestManifestAndTranscripts:
     def test_manifest_block_count_invariant(self):
         manifest, blocks, _ = build_manifest("f", b"x" * 1000, 256)
         assert manifest.k == len(blocks) == -(-manifest.total_length // manifest.block_size)
+
+    def test_coded_manifest_commits_to_shards(self):
+        data = b"v" * 200
+        manifest, blocks, tree = build_manifest("f", data, 64, coding=CodeParams(4, 8))
+        assert manifest.k == len(blocks) == 8 and manifest.coding == CodeParams(4, 8)
+        assert manifest.total_length == len(data) and tree.root == manifest.merkle_root
+        assert [b.data for b in blocks] == [b.data for b in split_blocks(data, 64)] + [b.data for b in blocks[4:]]
+        assert FileManifest.from_dict(manifest.to_dict()) == manifest
 
     def test_manifest_json_round_trip(self):
         manifest, _, _ = build_manifest("f", b"y" * 100, 32)

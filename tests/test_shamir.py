@@ -65,6 +65,12 @@ class TestSplitAndReconstruct:
         with pytest.raises(InvalidParams):
             ShareParams(3, 2)
 
+    def test_field_modulus_is_fixed(self):
+        # 60-bit chunks only survive reduction mod a prime above 2^60.
+        assert ShareParams(2, 3).field_modulus == P
+        with pytest.raises(TypeError):
+            ShareParams(2, 3, 13)
+
 
 class TestReconstructionCoefficients:
     def test_two_points(self):

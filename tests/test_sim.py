@@ -178,6 +178,8 @@ class TestWorldMechanics:
             _config("pos", [Honest()], k=8, coding=CodeParams(4, 9))
         with pytest.raises(ConfigError):
             behavior_from_dict({"type": "martian"})
+        with pytest.raises(KeyError):
+            behavior_from_dict({"type": "dropper"})  # drop_fraction is required
 
     def test_config_round_trip(self):
         cfg = _config(
