@@ -17,7 +17,7 @@ import sys
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
 from .erasure import DEFAULT_REDUNDANCY, shard_byte_length
-from .errors import PorstoreError
+from .errors import InvalidParams, PorstoreError
 from .merkle import Block, build_tree, hash_bytes
 from .pos import (
     CodeParams,
@@ -354,8 +354,12 @@ def cmd_share_join(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_experiment(args) -> int:
+    if args.workers < 1:
+        raise InvalidParams(f"--workers must be >= 1, got {args.workers}")
     config = ExperimentConfig.from_dict(_read_json(args.config))
-    report = run_experiment(config, cost=_cost_model(), workers=args.workers)
+    # Processes beyond the core count add start-up cost and no parallelism.
+    workers = min(args.workers, os.cpu_count() or 1)
+    report = run_experiment(config, cost=_cost_model(), workers=workers)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(report.to_json())

@@ -33,12 +33,8 @@ def hash_bytes(data: bytes) -> Digest:
 def expand_bytes(seed: bytes, length: int) -> bytes:
     """Counter-mode expansion: H(seed || 0_le64) || H(seed || 1_le64) || ...,
     cut to length bytes."""
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        out.extend(hash_bytes(seed + le64(counter)))
-        counter += 1
-    return bytes(out[:length])
+    blocks = -(-length // 32)
+    return b"".join([sha256(seed + i.to_bytes(8, "little")).digest() for i in range(blocks)])[:length]
 
 
 @dataclass(frozen=True)
@@ -81,12 +77,11 @@ def build_tree(leaves: list[Block]) -> MerkleTree:
     """Build the full tree over the given blocks' leaf digests."""
     if not leaves:
         raise EmptyInput("cannot build a Merkle tree over zero blocks")
-    level = [leaf_digest(b) for b in leaves]
+    # leaf_digest and inner_digest inlined: this loop is the whole cost of a build.
+    level = [sha256(LEAF_PREFIX + b.index.to_bytes(8, "little") + b.data).digest() for b in leaves]
     levels = [tuple(level)]
     while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(inner_digest(level[i], level[i + 1]))
+        nxt = [sha256(INNER_PREFIX + level[i] + level[i + 1]).digest() for i in range(0, len(level) - 1, 2)]
         if len(level) % 2:
             nxt.append(level[-1])  # odd node promoted unchanged
         level = nxt

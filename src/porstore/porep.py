@@ -17,7 +17,8 @@ delay encoding, not a production one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
 
 from .costs import CostModel, SimClock, TimingPolicy
 from .encoding import le64
@@ -55,6 +56,14 @@ class PoRepProof:
     started_at: int
     finished_at: int
 
+    @cached_property
+    def encoded(self) -> bytes:
+        """post.canonical_encode of this proof, computed once: the next
+        chain seed, the verifier's replay and the proof size share it."""
+        from .post import canonical_encode  # post builds on this module
+
+        return canonical_encode(self)
+
 
 def keystream(params: SealParams, index: int, block_size: int) -> bytes:
     """block_size keystream bytes behind d sequential hash iterations.
@@ -71,7 +80,8 @@ def keystream(params: SealParams, index: int, block_size: int) -> bytes:
 
 def seal_block(data: bytes, params: SealParams, index: int) -> bytes:
     ks = keystream(params, index, len(data))
-    return bytes(a ^ b for a, b in zip(data, ks))
+    # One big-int XOR; the fixed-length to_bytes keeps leading and trailing zero bytes.
+    return (int.from_bytes(data, "little") ^ int.from_bytes(ks, "little")).to_bytes(len(data), "little")
 
 
 def unseal_block(replica_block: bytes, params: SealParams, index: int) -> bytes:
@@ -79,17 +89,27 @@ def unseal_block(replica_block: bytes, params: SealParams, index: int) -> bytes:
     return seal_block(replica_block, params, index)
 
 
+def seal_blocks(blocks: Iterable[Block], params: SealParams) -> tuple[bytes, ...]:
+    """Seal each block under its own index.  Blocks share no state, so any
+    subset can be sealed apart from the rest; each d-chain stays sequential."""
+    return tuple(seal_block(b.data, params, b.index) for b in blocks)
+
+
+def sealed_tree(sealed_blocks: Sequence[bytes]) -> MerkleTree:
+    """The replica commitment: leaf i is sealed block i."""
+    return build_tree([Block(index=i, data=d) for i, d in enumerate(sealed_blocks)])
+
+
 def seal_file(blocks: list[Block], params: SealParams) -> Replica:
     """Seal every block and commit to the sealed set."""
     if not blocks:
         raise EmptyInput("cannot seal an empty file")
-    sealed = tuple(seal_block(b.data, params, b.index) for b in blocks)
-    tree = build_tree([Block(index=i, data=d) for i, d in enumerate(sealed)])
-    return Replica(params=params, sealed_blocks=sealed, replica_root=tree.root)
+    sealed = seal_blocks(blocks, params)
+    return Replica(params=params, sealed_blocks=sealed, replica_root=sealed_tree(sealed).root)
 
 
 def replica_tree(replica: Replica) -> MerkleTree:
-    return build_tree([Block(index=i, data=d) for i, d in enumerate(replica.sealed_blocks)])
+    return sealed_tree(replica.sealed_blocks)
 
 
 def honest_response_cost(k: int, indices: tuple[int, ...], cost: CostModel) -> int:

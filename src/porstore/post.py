@@ -56,7 +56,7 @@ def canonical_encode(proof: PoRepProof) -> bytes:
 def chain_seed(c0: bytes, counter: int, previous: PoRepProof | None) -> Digest:
     if previous is None:
         return hash_bytes(c0 + le64(counter))
-    return hash_bytes(c0 + le64(counter) + canonical_encode(previous))
+    return hash_bytes(c0 + le64(counter) + previous.encoded)
 
 
 def run_chain(
@@ -165,7 +165,7 @@ def post_from_dict(d: dict) -> PoStProof:
 
 def transcript_stats(post: PoStProof) -> dict:
     """Size accounting for the naive chain's main drawback."""
-    per_proof = [len(canonical_encode(p)) for p in post.proofs]
+    per_proof = [len(p.encoded) for p in post.proofs]
     return {
         "length": post.length,
         "total_cost": post.total_cost,

@@ -33,14 +33,16 @@ timed replication protocols exist; the detection matrix in the report
 makes that visible.
 
 Everything is derived from rng_seed, so identical configs produce
-byte-identical reports, serially or with parallel workers: trials only
-share read-only state and aggregate by summation.
+byte-identical reports.  With parallel workers the world is sealed once
+across the process pool and shipped to the epoch workers as bytes; trials
+share only that read-only state and aggregate by summation.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -50,19 +52,19 @@ from typing import Callable, ClassVar, Mapping, Optional
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
 from .errors import ConfigError, InvalidParams
-from .merkle import Digest, MerkleTree, expand_bytes, hash_bytes, path_length
-from .pos import CodeParams, SamplingChallenge, build_manifest, derive_sampling_challenge, verify_sampling
+from .merkle import Block, Digest, MerkleTree, expand_bytes, hash_bytes, path_length
+from .pos import CodeParams, FileManifest, SamplingChallenge, build_manifest, derive_sampling_challenge, verify_sampling
 from .porep import (
     DEFAULT_DELAY_ITERS,
     PoRepProof,
     SealParams,
     honest_response_cost,
     porep_verify,
-    replica_tree,
     respond_timed,
-    seal_file,
+    seal_blocks,
+    sealed_tree,
 )
-from .post import DEFAULT_CHAIN_LENGTH, PoStProof, canonical_encode, run_chain, verify_post
+from .post import DEFAULT_CHAIN_LENGTH, PoStProof, run_chain, verify_post
 
 PROTOCOLS = ("pos", "porep", "post")
 
@@ -296,23 +298,38 @@ class NodeState:
 class SimWorld:
     """All mutable simulation state for one experiment lane."""
 
-    def __init__(self, config: ExperimentConfig, cost: Optional[CostModel] = None):
+    def __init__(
+        self,
+        config: ExperimentConfig,
+        cost: Optional[CostModel] = None,
+        *,
+        _sealed: Optional[list[tuple[bytes, ...]]] = None,
+    ):
+        """Build the world serially.  run_experiment's workers pass `_sealed`,
+        the replicas its pool already sealed (one tuple of sealed blocks per
+        identity, in _seal_params order); the world is then built without
+        computing a keystream."""
         self.config = config
         self.cost = cost or CostModel()
         self.clock = SimClock()
         self.rng_seed = config.rng_seed
         self.audit_log: list[AuditRecord] = []
         self.nodes: dict[str, NodeState] = {}
-        self._build()
+        self._build(_sealed)
 
     # -- construction ------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, sealed: Optional[list[tuple[bytes, ...]]]) -> None:
         cfg = self.config
-        k_data = cfg.k if cfg.coding is None else cfg.coding.k_data
-        data = expand_bytes(hash_bytes(self.rng_seed + b"file"), k_data * cfg.block_size)
-        self.manifest, blocks, file_tree = build_manifest("file-0", data, cfg.block_size, cfg.coding)
+        self.manifest, blocks, file_tree = _file_blocks(cfg)
         file_store = {b.index: b.data for b in blocks}
+        params = _seal_params(cfg)
+        if sealed is None:
+            sealed = [seal_blocks(blocks, p) for p in params]
+        # Content commitments are computed once here; attackers that "reseal
+        # on demand" later serve these exact bytes (sealing is pure) and are
+        # charged the recompute cost in simulated time instead.
+        replicas = iter(zip(params, sealed))
 
         for ordinal, behavior in enumerate(cfg.behaviors):
             node_id = f"{behavior.label}-{ordinal}"
@@ -322,21 +339,12 @@ class SimWorld:
                 node.stores.append(file_store)
                 node.trees.append(file_tree)
             else:
-                for j in range(behavior.identity_count):
-                    params = SealParams(
-                        delay_iters=cfg.delay_iters,
-                        node_tag=f"{node_id}:{j}".encode(),
-                        salt=hash_bytes(self.rng_seed + node_id.encode() + le64(j)),
-                    )
-                    # Content commitments are computed once here; attackers
-                    # that "reseal on demand" later serve these exact bytes
-                    # (sealing is pure) and are charged the recompute cost
-                    # in simulated time instead.
-                    replica = seal_file(blocks, params)
-                    node.seal_params.append(params)
-                    node.roots.append(replica.replica_root)
-                    node.stores.append(dict(enumerate(replica.sealed_blocks)))
-                    node.trees.append(replica_tree(replica))
+                for identity_params, replica in itertools.islice(replicas, behavior.identity_count):
+                    tree = sealed_tree(replica)
+                    node.seal_params.append(identity_params)
+                    node.roots.append(tree.root)
+                    node.stores.append(dict(enumerate(replica)))
+                    node.trees.append(tree)
             self.nodes[node_id] = node
 
     def _policy(self, strict: bool) -> TimingPolicy:
@@ -400,7 +408,7 @@ class SimWorld:
         policy = self._policy(strict=False)
         ok = porep_verify(self.manifest, node.roots[identity], proof, policy)
         elapsed = proof.finished_at - proof.started_at
-        return ok, "timing" if elapsed > policy.t_max else "sampling", elapsed, len(canonical_encode(proof))
+        return ok, "timing" if elapsed > policy.t_max else "sampling", elapsed, len(proof.encoded)
 
     def _audit_post(self, node: NodeState, identity: int, epoch: int) -> tuple:
         root = node.roots[identity]
@@ -413,7 +421,7 @@ class SimWorld:
         policy = self._policy(strict=True)
         ok = verify_post(self.manifest, root, post, policy)
         reason = None if ok else self._post_reject_reason(root, post, policy)
-        return ok, reason, post.total_cost, sum(len(canonical_encode(p)) for p in post.proofs)
+        return ok, reason, post.total_cost, sum(len(p.encoded) for p in post.proofs)
 
     def _post_reject_reason(self, replica_root: Digest, post: PoStProof, policy: TimingPolicy) -> str:
         if any(p.finished_at - p.started_at > policy.t_max for p in post.proofs):
@@ -422,6 +430,31 @@ class SimWorld:
         if all(verify_sampling(replica_manifest, p.challenge, p.response) for p in post.proofs):
             return "chain"
         return "sampling"
+
+
+def _file_blocks(cfg: ExperimentConfig) -> tuple[FileManifest, list[Block], MerkleTree]:
+    """(manifest, blocks, tree) of the experiment's file, a pure function of the config."""
+    k_data = cfg.k if cfg.coding is None else cfg.coding.k_data
+    data = expand_bytes(hash_bytes(cfg.rng_seed + b"file"), k_data * cfg.block_size)
+    return build_manifest("file-0", data, cfg.block_size, cfg.coding)
+
+
+def _seal_params(cfg: ExperimentConfig) -> list[SealParams]:
+    """One SealParams per (node, identity) in world order; none under pos."""
+    if cfg.protocol == "pos":
+        return []
+    params = []
+    for ordinal, behavior in enumerate(cfg.behaviors):
+        node_id = f"{behavior.label}-{ordinal}"
+        params.extend(
+            SealParams(
+                delay_iters=cfg.delay_iters,
+                node_tag=f"{node_id}:{j}".encode(),
+                salt=hash_bytes(cfg.rng_seed + node_id.encode() + le64(j)),
+            )
+            for j in range(behavior.identity_count)
+        )
+    return params
 
 
 def _response_bytes(challenge: SamplingChallenge, response) -> int:
@@ -535,10 +568,15 @@ class DetectionReport:
 
 
 def _run_trial_range(
-    config: ExperimentConfig, start: int, stop: int, cost: CostModel
+    config: ExperimentConfig,
+    start: int,
+    stop: int,
+    cost: CostModel,
+    sealed: Optional[list[tuple[bytes, ...]]] = None,
 ) -> dict[tuple[str, int], ReportRow]:
-    """Worker entry: build a world from scratch and run epochs [start, stop)."""
-    world = SimWorld(config, cost=cost)
+    """Worker entry: build the world, over `sealed` replicas when given,
+    and run epochs [start, stop)."""
+    world = SimWorld(config, cost=cost, _sealed=sealed)
     rows: dict[tuple[str, int], ReportRow] = {}
     for epoch in range(start, stop):
         for record in world.run_audit_epoch(epoch):
@@ -550,22 +588,44 @@ def _run_trial_range(
     return rows
 
 
+def _split(n: int, parts: int) -> list[tuple[int, int]]:
+    """[0, n) as at most `parts` contiguous, non-empty, near-equal ranges."""
+    bounds = [(n * p) // parts for p in range(parts + 1)]
+    return [(bounds[p], bounds[p + 1]) for p in range(parts) if bounds[p] < bounds[p + 1]]
+
+
+def _seal_in_pool(pool: ProcessPoolExecutor, config: ExperimentConfig, parts: int) -> list[tuple[bytes, ...]]:
+    """Seal every identity's replica once, as (identity, block range) jobs
+    spread over the pool.  Each block's d-chain runs whole inside one job."""
+    _, blocks, _ = _file_blocks(config)
+    params = _seal_params(config)
+    slices = [blocks[lo:hi] for lo, hi in _split(len(blocks), parts)]
+    pieces = pool.map(seal_blocks, [s for _ in params for s in slices], [p for p in params for _ in slices])
+    return [tuple(itertools.chain.from_iterable(itertools.islice(pieces, len(slices)))) for _ in params]
+
+
 def run_experiment(config: ExperimentConfig, cost: Optional[CostModel] = None, workers: int = 1) -> DetectionReport:
     """Run config.trials independent audit epochs and aggregate a report.
 
-    With workers > 1 the epoch range is split into contiguous chunks run in
-    separate processes; every chunk derives identical state from the seed,
-    and merging is pure summation, so the report matches a serial run
-    byte for byte.
+    With workers > 1 one process pool does the work in two phases.  First
+    the world is sealed once across the pool: every identity's blocks are
+    split into ranges and each (identity, range) is a job.  Then the epoch
+    range is split into contiguous chunks, and each chunk assembles its
+    world from the sealed bytes without recomputing a keystream.  Every
+    chunk sees the same world and merging is pure summation, so pos and
+    porep reports match a serial run byte for byte.  Under post each
+    chunk's clock starts at zero where a serial run's has moved on, and
+    chain seeds cover the timestamps: the reports match only while no
+    verdict, charge or size depends on which blocks a link challenges.
     """
     cost = cost or CostModel()
     if workers <= 1:
         partials = [_run_trial_range(config, 0, config.trials, cost)]
     else:
-        bounds = [(config.trials * w) // workers for w in range(workers + 1)]
-        chunks = [(bounds[w], bounds[w + 1]) for w in range(workers) if bounds[w] < bounds[w + 1]]
+        chunks = _split(config.trials, workers)
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_run_trial_range, config, lo, hi, cost) for lo, hi in chunks]
+            sealed = None if config.protocol == "pos" else _seal_in_pool(pool, config, len(chunks))
+            futures = [pool.submit(_run_trial_range, config, lo, hi, cost, sealed) for lo, hi in chunks]
             partials = [f.result() for f in futures]
 
     rows: dict[tuple[str, int], ReportRow] = {}

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from porstore import cli
 from porstore.cli import main
 from porstore.pos import FileManifest, derive_sampling_challenge
 
@@ -265,6 +266,30 @@ class TestExperimentCommand:
         first = capsys.readouterr().out
         main(["experiment", str(cfg), "--json"])
         assert capsys.readouterr().out == first
+
+    def test_experiment_refuses_workers_below_one(self, tmp_path, capsys):
+        cfg = self._config_file(tmp_path)
+        for value in ("0", "-3"):
+            assert main(["experiment", str(cfg), "--workers", value]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "--workers must be >= 1" in err
+
+    def test_experiment_clamps_workers_to_cpu_count(self, tmp_path, capsys, monkeypatch):
+        cfg = self._config_file(tmp_path)
+        seen = []
+        real = cli.run_experiment
+
+        def record(config, cost=None, workers=1):
+            seen.append(workers)
+            return real(config, cost=cost)  # serial: start no process
+
+        monkeypatch.setattr(cli, "run_experiment", record)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for value in ("1", "2", "3", "4096"):
+            assert main(["experiment", str(cfg), "--workers", value, "--json"]) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert main(["experiment", str(cfg), "--workers", "8", "--json"]) == 0
+        assert seen == [1, 2, 2, 2, 1]
 
     def test_cost_model_env_override(self, tmp_path, capsys, monkeypatch):
         # t_max defaults to 10 * k' * block_read_cost, so the override shows up.

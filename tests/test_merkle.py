@@ -12,6 +12,7 @@ from porstore.merkle import (
     LEAF_PREFIX,
     MerklePath,
     build_tree,
+    expand_bytes,
     hash_bytes,
     path_length,
     prove_leaf,
@@ -43,6 +44,13 @@ class TestHashBytes:
         for _ in range(1000):
             x = rng.randbytes(1024)
             assert hash_bytes(x) != hash_bytes(x + b"\x00")
+
+
+def test_expand_bytes_is_counter_mode():
+    seed = b"\x07" * 32
+    stream = b"".join(sha256(seed + le64(i)).digest() for i in range(4))
+    for length in (0, 1, 31, 32, 33, 100):
+        assert expand_bytes(seed, length) == stream[:length]
 
 
 class TestBuildTree:

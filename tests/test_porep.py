@@ -67,6 +67,23 @@ class TestSealUnseal:
         params = SealParams(delay_iters=2, node_tag=b"n", salt=SALT)
         assert unseal_block(seal_block(data, params, index), params, index) == data
 
+    @pytest.mark.parametrize("length", [0, 1, 7, 4096])
+    def test_seal_matches_bytewise_xor(self, length):
+        params = SealParams(delay_iters=1, node_tag=b"n", salt=SALT)
+        ks = keystream(params, 9, length)
+        rng = random.Random(length)
+        middle = rng.randbytes(max(0, length - 2))
+        cases = [
+            bytes(length),
+            (b"\x00" + middle + b"\x00")[:length],  # zero bytes at both ends of the input
+            ks,  # seals to all zeros
+            (ks[:1] + middle + ks[-1:])[:length],  # sealed output starts and ends with a zero byte
+        ]
+        for data in cases:
+            sealed = seal_block(data, params, 9)
+            assert sealed == bytes(a ^ b for a, b in zip(data, ks))
+            assert unseal_block(sealed, params, 9) == data
+
     def test_zero_block_unseals_to_keystream(self):
         params = SealParams(delay_iters=2, node_tag=b"n", salt=SALT)
         zeros = b"\x00" * 50

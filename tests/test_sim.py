@@ -1,5 +1,9 @@
+from collections import Counter
+from concurrent.futures import Future, ProcessPoolExecutor
+
 import pytest
 
+from porstore import porep, post, sim
 from porstore.costs import CostModel, SimClock
 from porstore.errors import ConfigError, InvalidParams
 from porstore.pos import CodeParams
@@ -202,3 +206,97 @@ class TestWorldMechanics:
             CostModel(fetch_remote_cost=1, block_read_cost=2)
         with pytest.raises(InvalidParams):
             CostModel(hash_cost=-1)
+
+
+class _InlineExecutor:
+    """run_experiment's process pool, run in this process so that patched
+    functions observe every call."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+# 5 identities: an uneven split over both 2 and 3 workers.
+SEALED_BEHAVIORS = (Honest(), SybilAttacker(3), GenerationAttacker())
+
+
+class TestSealOnce:
+    @pytest.mark.parametrize("protocol", ["porep", "post"])
+    @pytest.mark.parametrize("shape", [{}, {"k": 7, "k_prime": 4}, {"k": 8, "k_prime": 4, "coding": CodeParams(4, 8)}])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_sealed_world_equals_serial_world(self, protocol, shape, workers):
+        cfg = _config(protocol, SEALED_BEHAVIORS, trials=1, **shape)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            sealed = sim._seal_in_pool(pool, cfg, workers)
+        serial, pooled = SimWorld(cfg), SimWorld(cfg, _sealed=sealed)
+        assert pooled.manifest == serial.manifest
+        assert pooled.nodes.keys() == serial.nodes.keys()
+        for node_id, node in serial.nodes.items():
+            other = pooled.nodes[node_id]
+            assert other.seal_params == node.seal_params
+            assert other.roots == node.roots
+            assert other.stores == node.stores
+            assert other.trees == node.trees
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_sealed_report_equals_serial_report(self, workers):
+        cfg = _config("post", SEALED_BEHAVIORS, trials=5, k_prime=4, post_length=3)
+        assert run_experiment(cfg, workers=workers).to_json() == run_experiment(cfg).to_json()
+
+    def test_trial_range_over_sealed_blocks_computes_no_keystream(self, monkeypatch):
+        cfg = _config("post", SEALED_BEHAVIORS, trials=3, post_length=3)
+        cost = CostModel()
+        _, blocks, _ = sim._file_blocks(cfg)
+        sealed = [porep.seal_blocks(blocks, params) for params in sim._seal_params(cfg)]
+        expected = sim._run_trial_range(cfg, 0, 3, cost)
+
+        def no_keystream(*args):
+            raise AssertionError("keystream computed while building over sealed blocks")
+
+        monkeypatch.setattr(porep, "keystream", no_keystream)
+        assert sim._run_trial_range(cfg, 0, 3, cost, sealed) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_keystream_computed_once_per_experiment(self, monkeypatch, workers):
+        cfg = _config("post", SEALED_BEHAVIORS, trials=4, post_length=2)
+        calls = Counter()
+        real = porep.keystream
+
+        def counted(params, index, block_size):
+            calls[params.node_tag, index] += 1
+            return real(params, index, block_size)
+
+        monkeypatch.setattr(porep, "keystream", counted)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", _InlineExecutor)
+        run_experiment(cfg, workers=workers)
+        tags = [params.node_tag for params in sim._seal_params(cfg)]
+        assert calls == Counter({(tag, i): 1 for tag in tags for i in range(cfg.k)})
+
+    def test_post_epoch_encodes_each_link_at_most_once(self, monkeypatch):
+        cfg = _config("post", [*SEALED_BEHAVIORS, OutsourcingAttacker()], trials=1, post_length=4)
+        world = SimWorld(cfg)
+        encoded = []  # holds every proof, so no two share an id()
+        real = post.canonical_encode
+
+        def counted(proof):
+            encoded.append(proof)
+            return real(proof)
+
+        monkeypatch.setattr(post, "canonical_encode", counted)
+        records = run_audit_epoch(world, 0)
+        assert {r.verdict for r in records} == {"accept", "reject"}
+        assert len(encoded) == len({id(p) for p in encoded}) <= len(records) * cfg.post_length
