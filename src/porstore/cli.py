@@ -264,12 +264,7 @@ def cmd_post_verify(args) -> int:
     cost = _cost_model()
     k_prime = args.k_prime or (len(post.proofs[0].challenge.indices) if post.proofs else DEFAULT_K_PRIME)
     t_max = args.t_max if args.t_max is not None else default_t_max(k_prime, cost)
-    policy = TimingPolicy(
-        t_max=t_max,
-        k_prime=k_prime,
-        expected_cost=cost if args.strict else None,
-        contiguous=args.strict,
-    )
+    policy = TimingPolicy(t_max=t_max, k_prime=k_prime, expected_cost=cost if args.strict else None)
     ok = verify_post(manifest, replica_root, post, policy)
     payload = {"verdict": "accept" if ok else "reject", "t_max": t_max, "k_prime": k_prime, "strict": args.strict}
     _emit(payload, args.json, [f"verdict: {'ACCEPT' if ok else 'REJECT'} (t_max={t_max}, strict={args.strict})"])

@@ -68,24 +68,20 @@ class TimingPolicy:
     """Verifier-side acceptance window for proof generation time.
 
     t_max is the basic upper bound: slower proofs are evidence of
-    on-demand resealing or remote fetches.  The strict knobs bind the
-    recorded timestamps exactly, so a transcript cannot be nudged by a
-    byte without rejection: expected_cost requires each proof's elapsed
-    time to equal the honest cost for its challenge, and contiguous
-    requires chained proofs to start the instant the previous one ends.
+    on-demand resealing or remote fetches, and every proof must answer
+    exactly k_prime challenged blocks.  Setting expected_cost makes the
+    policy strict: it binds the recorded timestamps exactly, so a
+    transcript cannot be nudged by a byte without rejection.  Each proof's
+    elapsed time must equal the honest cost for its challenge, and chained
+    proofs must start the instant the previous one ends.
     """
 
     t_max: int
-    k_prime: Optional[int] = None
+    k_prime: int
     expected_cost: Optional[CostModel] = None
-    contiguous: bool = False
 
 
 def default_t_max(k_prime: int, cost: CostModel) -> int:
     """Shipped default: 10x the raw read budget of an honest response."""
     return 10 * k_prime * cost.block_read_cost
 
-
-def default_policy(k_prime: int, cost: Optional[CostModel] = None) -> TimingPolicy:
-    cost = cost or CostModel()
-    return TimingPolicy(t_max=default_t_max(k_prime, cost), k_prime=k_prime)

@@ -43,3 +43,7 @@ class DuplicateShare(PorstoreError):
 
 class ConfigError(PorstoreError):
     """A simulation or CLI configuration references unknown entities."""
+
+
+class MalformedInput(PorstoreError):
+    """A decoded file does not have the shape its format requires."""

@@ -9,6 +9,11 @@ Binding the leaf index prevents block-reordering attacks; the distinct
 prefixes prevent a 64-byte data block from forging an inner node.  A level
 with an odd node count promotes the unpaired node unchanged (no duplicate
 hashing), so the next level always holds ceil(n/2) digests.
+
+A membership path is the sibling digests alone, leaf to root, as in RFC 6962
+audit paths.  Which side each sibling sits on, and which levels have none,
+follows from the leaf index and the leaf count, so the verifier derives both
+and a path cannot disagree with the index it claims.
 """
 
 from __future__ import annotations
@@ -57,12 +62,8 @@ class MerkleTree:
         return self.levels[-1][0]
 
 
-@dataclass(frozen=True)
-class MerklePath:
-    """Siblings from leaf to root; side is where the sibling sits."""
-
-    leaf_index: int
-    siblings: tuple[tuple[Digest, str], ...]  # (digest, "left" | "right")
+# Sibling digests from leaf to root; a promoted node's level contributes none.
+MerklePath = tuple[Digest, ...]
 
 
 def leaf_digest(block: Block) -> Digest:
@@ -94,30 +95,37 @@ def prove_leaf(tree: MerkleTree, index: int) -> MerklePath:
     if not 0 <= index < tree.leaf_count:
         raise IndexOutOfRange(f"leaf index {index} not in [0, {tree.leaf_count})")
     siblings = []
-    idx = index
     for level in tree.levels[:-1]:
-        if idx % 2 == 1:
-            siblings.append((level[idx - 1], "left"))
-        elif idx + 1 < len(level):
-            siblings.append((level[idx + 1], "right"))
-        # else: promoted node, no sibling at this level
-        idx //= 2
-    return MerklePath(leaf_index=index, siblings=tuple(siblings))
+        sibling = index ^ 1  # the other child of this node's parent
+        if sibling < len(level):  # else: promoted node, no sibling at this level
+            siblings.append(level[sibling])
+        index //= 2
+    return tuple(siblings)
 
 
-def verify_leaf(root: Digest, block: Block, path: MerklePath) -> bool:
-    """Accept iff folding the block's leaf digest through the path hits root."""
-    if path.leaf_index != block.index:
+def verify_leaf(root: Digest, leaf_count: int, block: Block, path: MerklePath) -> bool:
+    """Accept iff folding the block's leaf digest through the path hits root.
+
+    An odd node's sibling sits on its left, an even node's on its right, and
+    a level's unpaired last node has none.  A path with too few or too many
+    siblings, or a block index outside [0, leaf_count), is rejected.
+    """
+    index, width = block.index, leaf_count
+    if not 0 <= index < width:
         return False
     acc = leaf_digest(block)
-    for digest, side in path.siblings:
-        if side == "left":
-            acc = inner_digest(digest, acc)
-        elif side == "right":
-            acc = inner_digest(acc, digest)
-        else:
-            return False
-    return acc == root
+    siblings = iter(path)
+    try:
+        while width > 1:
+            if index % 2:
+                acc = inner_digest(next(siblings), acc)
+            elif index + 1 < width:
+                acc = inner_digest(acc, next(siblings))
+            index //= 2
+            width = (width + 1) // 2
+    except StopIteration:
+        return False
+    return next(siblings, None) is None and acc == root
 
 
 def path_length(leaf_count: int, index: int) -> int:
@@ -134,7 +142,3 @@ def path_length(leaf_count: int, index: int) -> int:
         n = (n + 1) // 2
     return count
 
-
-def tree_summary(tree: MerkleTree) -> dict:
-    """Wire form of a tree: levels stay in memory, only the root travels."""
-    return {"leaf_count": tree.leaf_count, "root_hex": tree.root.hex()}

@@ -146,7 +146,7 @@ def porep_verify(manifest: FileManifest, replica_root: Digest, proof: PoRepProof
     the recorded generation time fits the policy."""
     if proof.finished_at < proof.started_at:
         return False
-    if policy.k_prime is not None and len(proof.challenge.indices) != policy.k_prime:
+    if len(proof.challenge.indices) != policy.k_prime:
         return False
     elapsed = proof.finished_at - proof.started_at
     if elapsed > policy.t_max:

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from .encoding import le64
 from .erasure import CodeParams, encode as rs_encode
-from .errors import EmptyInput, InvalidParams, NonceReplay
+from .errors import EmptyInput, InvalidParams, MalformedInput, NonceReplay
 from .merkle import Block, Digest, MerklePath, MerkleTree, build_tree, hash_bytes, prove_leaf, verify_leaf
 
 DEFAULT_BLOCK_SIZE = 4096
@@ -50,7 +50,6 @@ class FileManifest:
     k: int
     merkle_root: Digest
     coding: Optional[CodeParams] = None
-    seal_tag: Optional[str] = None
 
     def to_dict(self) -> dict:
         return {
@@ -60,7 +59,6 @@ class FileManifest:
             "k": self.k,
             "merkle_root_hex": self.merkle_root.hex(),
             "coding": None if self.coding is None else {"k_data": self.coding.k_data, "n_total": self.coding.n_total},
-            "seal_tag": self.seal_tag,
         }
 
     @classmethod
@@ -73,7 +71,6 @@ class FileManifest:
             k=d["k"],
             merkle_root=bytes.fromhex(d["merkle_root_hex"]),
             coding=None if coding is None else CodeParams(coding["k_data"], coding["n_total"]),
-            seal_tag=d.get("seal_tag"),
         )
 
 
@@ -217,9 +214,7 @@ def verify_sampling(manifest: FileManifest, challenge: SamplingChallenge, respon
     if len(response.items) != len(challenge.indices):
         return False
     for idx, (block, path) in zip(challenge.indices, response.items):
-        if block.index != idx or not 0 <= idx < manifest.k:
-            return False
-        if not verify_leaf(manifest.merkle_root, block, path):
+        if block.index != idx or not verify_leaf(manifest.merkle_root, manifest.k, block, path):
             return False
     return True
 
@@ -227,6 +222,8 @@ def verify_sampling(manifest: FileManifest, challenge: SamplingChallenge, respon
 # ---------------------------------------------------------------------------
 # Transcripts (the wire/file formats the CLI speaks)
 # ---------------------------------------------------------------------------
+# A path travels as its sibling digests in hex; the verifier derives each
+# sibling's side from the item's index and the manifest's leaf count.
 
 def challenge_to_dict(manifest: FileManifest, challenge: SamplingChallenge, k_prime: int) -> dict:
     return {
@@ -250,19 +247,21 @@ def response_to_dict(response: SamplingResponse) -> dict:
             {
                 "index": block.index,
                 "block_b64": base64.b64encode(block.data).decode("ascii"),
-                "path": [{"digest_hex": digest.hex(), "side": side} for digest, side in path.siblings],
+                "path": [digest.hex() for digest in path],
             }
         )
     return {"items": items}
+
+
+def _digest_from_hex(value) -> Digest:
+    if not isinstance(value, str):
+        raise MalformedInput(f"a path entry must be a hex digest string, got {type(value).__name__}")
+    return bytes.fromhex(value)
 
 
 def response_from_dict(d: dict) -> SamplingResponse:
     items = []
     for item in d["items"]:
         block = Block(index=item["index"], data=base64.b64decode(item["block_b64"]))
-        path = MerklePath(
-            leaf_index=item["index"],
-            siblings=tuple((bytes.fromhex(p["digest_hex"]), p["side"]) for p in item["path"]),
-        )
-        items.append((block, path))
+        items.append((block, tuple(_digest_from_hex(h) for h in item["path"])))
     return SamplingResponse(items=tuple(items))

@@ -36,9 +36,16 @@ DEFAULT_CHAIN_LENGTH = 12
 @dataclass(frozen=True)
 class PoStProof:
     initial_challenge: bytes
-    length: int
     proofs: tuple[PoRepProof, ...]
-    total_cost: int
+
+    @property
+    def length(self) -> int:
+        return len(self.proofs)
+
+    @property
+    def total_cost(self) -> int:
+        """Simulated time from the first link's start to the last link's end."""
+        return self.proofs[-1].finished_at - self.proofs[0].started_at if self.proofs else 0
 
 
 def canonical_encode(proof: PoRepProof) -> bytes:
@@ -47,7 +54,7 @@ def canonical_encode(proof: PoRepProof) -> bytes:
     parts = [le64(i) for i in proof.challenge.indices]
     parts.extend(block.data for block, _ in proof.response.items)
     for _, path in proof.response.items:
-        parts.extend(digest for digest, _ in path.siblings)
+        parts.extend(path)
     parts.append(le64(proof.started_at))
     parts.append(le64(proof.finished_at))
     return b"".join(parts)
@@ -73,8 +80,7 @@ def run_chain(
         challenge = derive_sampling_challenge(chain_seed(c0, i, previous), i, k, k_prime)
         previous = respond(i, challenge)
         proofs.append(previous)
-    total_cost = proofs[-1].finished_at - proofs[0].started_at
-    return PoStProof(initial_challenge=c0, length=length, proofs=tuple(proofs), total_cost=total_cost)
+    return PoStProof(initial_challenge=c0, proofs=tuple(proofs))
 
 
 def generate_post(
@@ -95,28 +101,27 @@ def generate_post(
 
 
 def verify_post(manifest: FileManifest, replica_root: Digest, post: PoStProof, policy: TimingPolicy) -> bool:
-    """Replay the seed chain and re-verify every link against the policy."""
-    if post.length != len(post.proofs) or post.length < 1:
+    """Replay the seed chain and re-verify every link against the policy.
+    A strict policy (one with expected_cost) also requires each link to
+    start the instant its predecessor ends."""
+    if not post.proofs:
         return False
-    k_prime = policy.k_prime if policy.k_prime is not None else len(post.proofs[0].challenge.indices)
     previous = None
     for i, proof in enumerate(post.proofs):
         seed = chain_seed(post.initial_challenge, i, previous)
         if proof.challenge.seed != seed or proof.challenge.epoch != i:
             return False
-        derived = derive_sampling_challenge(seed, i, manifest.k, k_prime)
+        derived = derive_sampling_challenge(seed, i, manifest.k, policy.k_prime)
         if proof.challenge.indices != derived.indices:
             return False
         if previous is not None:
             if proof.started_at < previous.finished_at:
                 return False
-            if policy.contiguous and proof.started_at != previous.finished_at:
+            if policy.expected_cost is not None and proof.started_at != previous.finished_at:
                 return False
         if not porep_verify(manifest, replica_root, proof, policy):
             return False
         previous = proof
-    if post.total_cost != post.proofs[-1].finished_at - post.proofs[0].started_at:
-        return False
     return True
 
 
@@ -148,18 +153,14 @@ def porep_proof_from_dict(d: dict) -> PoRepProof:
 def post_to_dict(post: PoStProof) -> dict:
     return {
         "c0_hex": post.initial_challenge.hex(),
-        "length": post.length,
         "proofs": [porep_proof_to_dict(p) for p in post.proofs],
-        "total_cost": post.total_cost,
     }
 
 
 def post_from_dict(d: dict) -> PoStProof:
     return PoStProof(
         initial_challenge=bytes.fromhex(d["c0_hex"]),
-        length=d["length"],
         proofs=tuple(porep_proof_from_dict(p) for p in d["proofs"]),
-        total_cost=d["total_cost"],
     )
 
 

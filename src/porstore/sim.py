@@ -290,7 +290,6 @@ class NodeState:
     behavior: Behavior
     view: StoreView
     seal_params: list[SealParams] = field(default_factory=list)
-    roots: list[Digest] = field(default_factory=list)
     stores: list[BlockStore] = field(default_factory=list)
     trees: list[MerkleTree] = field(default_factory=list)
 
@@ -335,14 +334,12 @@ class SimWorld:
             node_id = f"{behavior.label}-{ordinal}"
             node = NodeState(node_id, behavior, behavior.view(self.rng_seed + node_id.encode(), len(blocks)))
             if cfg.protocol == "pos":
-                node.roots.append(self.manifest.merkle_root)
                 node.stores.append(file_store)
                 node.trees.append(file_tree)
             else:
                 for identity_params, replica in itertools.islice(replicas, behavior.identity_count):
                     tree = sealed_tree(replica)
                     node.seal_params.append(identity_params)
-                    node.roots.append(tree.root)
                     node.stores.append(dict(enumerate(replica)))
                     node.trees.append(tree)
             self.nodes[node_id] = node
@@ -353,7 +350,6 @@ class SimWorld:
             t_max=cfg.resolved_t_max(self.cost),
             k_prime=cfg.k_prime,
             expected_cost=self.cost if strict else None,
-            contiguous=strict,
         )
 
     # -- audits --------------------------------------------------------------
@@ -391,7 +387,7 @@ class SimWorld:
         return respond_timed(store, node.trees[identity], challenge, self.clock, units)
 
     def _challenge(self, node: NodeState, identity: int, epoch: int) -> SamplingChallenge:
-        seed = hash_bytes(node.roots[identity] + le64(epoch))
+        seed = hash_bytes(node.trees[identity].root + le64(epoch))
         return derive_sampling_challenge(seed, epoch, self.manifest.k, self.config.k_prime)
 
     # Each audit returns (ok, reject reason, elapsed, proof bytes).
@@ -406,12 +402,12 @@ class SimWorld:
     def _audit_porep(self, node: NodeState, identity: int, epoch: int) -> tuple:
         proof = self._respond(node, identity, self._challenge(node, identity, epoch), resealing=True)
         policy = self._policy(strict=False)
-        ok = porep_verify(self.manifest, node.roots[identity], proof, policy)
+        ok = porep_verify(self.manifest, node.trees[identity].root, proof, policy)
         elapsed = proof.finished_at - proof.started_at
         return ok, "timing" if elapsed > policy.t_max else "sampling", elapsed, len(proof.encoded)
 
     def _audit_post(self, node: NodeState, identity: int, epoch: int) -> tuple:
-        root = node.roots[identity]
+        root = node.trees[identity].root
         # Drop-then-reseal: the replica is on disk for the first link and
         # regenerated for every later one.
         post = run_chain(
@@ -460,7 +456,7 @@ def _seal_params(cfg: ExperimentConfig) -> list[SealParams]:
 def _response_bytes(challenge: SamplingChallenge, response) -> int:
     total = 8 * len(challenge.indices)
     for block, path in response.items:
-        total += len(block.data) + 32 * len(path.siblings)
+        total += len(block.data) + 32 * len(path)
     return total
 
 

@@ -13,7 +13,7 @@ from porstore.post import PoStProof
 def canonical_length(proof) -> int:
     k_prime = len(proof.challenge.indices)
     blocks = sum(len(b.data) for b, _ in proof.response.items)
-    paths = sum(32 * len(p.siblings) for _, p in proof.response.items)
+    paths = sum(32 * len(p) for _, p in proof.response.items)
     return 8 * k_prime + blocks + paths + 16
 
 
@@ -22,7 +22,7 @@ def mutate_proof_byte(post: PoStProof, proof_idx: int, byte_pos: int) -> PoStPro
     p = post.proofs[proof_idx]
     idx_len = 8 * len(p.challenge.indices)
     block_lens = [len(b.data) for b, _ in p.response.items]
-    path_lens = [32 * len(path.siblings) for _, path in p.response.items]
+    path_lens = [32 * len(path) for _, path in p.response.items]
     blocks_len = sum(block_lens)
     paths_len = sum(path_lens)
     assert 0 <= byte_pos < idx_len + blocks_len + paths_len + 16
@@ -52,13 +52,12 @@ def mutate_proof_byte(post: PoStProof, proof_idx: int, byte_pos: int) -> PoStPro
             j += 1
         s, o = divmod(off, 32)
         block, path = p.response.items[j]
-        digest, side = path.siblings[s]
-        tampered = bytearray(digest)
+        tampered = bytearray(path[s])
         tampered[o] ^= 0x01
-        siblings = list(path.siblings)
-        siblings[s] = (bytes(tampered), side)
+        siblings = list(path)
+        siblings[s] = bytes(tampered)
         items = list(p.response.items)
-        items[j] = (block, replace(path, siblings=tuple(siblings)))
+        items[j] = (block, tuple(siblings))
         new_p = replace(p, response=replace(p.response, items=tuple(items)))
     else:
         off = byte_pos - idx_len - blocks_len - paths_len

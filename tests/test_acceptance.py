@@ -15,7 +15,7 @@ from porstore.costs import CostModel, SimClock, TimingPolicy, default_t_max
 from porstore.encoding import bytes_to_symbols
 from porstore.erasure import decode, encode
 from porstore.errors import InsufficientShards, NonceReplay
-from porstore.merkle import Block, MerklePath
+from porstore.merkle import Block
 from porstore.porep import SealParams, honest_response_cost, porep_respond, porep_verify, replica_tree, seal_file
 from porstore.pos import (
     CodeParams,
@@ -122,7 +122,7 @@ def test_criterion_5_post_chain_integrity():
     manifest, blocks, _ = build_manifest("f", bytes(range(256)) * (k * block_size // 256), block_size)
     replica = seal_file(blocks, SealParams(delay_iters=10_000, node_tag=b"post-acceptance", salt=b"\x61" * 32))
     tree = replica_tree(replica)
-    policy = TimingPolicy(t_max=default_t_max(k_prime, COST), k_prime=k_prime, expected_cost=COST, contiguous=True)
+    policy = TimingPolicy(t_max=default_t_max(k_prime, COST), k_prime=k_prime, expected_cost=COST)
 
     # (a) honest chain verifies
     post = generate_post(replica, b"\x62" * 32, length, SimClock(), COST, k_prime=k_prime, tree=tree)
@@ -230,9 +230,7 @@ def test_criterion_7_completeness_and_soundness_suite():
         bad_block = Block(block.index, bytes([block.data[0] ^ 1]) + block.data[1:])
         items = resp.items[:i] + ((bad_block, path),) + resp.items[i + 1 :]
         assert not verify_sampling(manifest, ch, type(resp)(items=items))
-        flipped = MerklePath(path.leaf_index, tuple(
-            (bytes([d[0] ^ 1]) + d[1:], s) for d, s in path.siblings
-        ))
+        flipped = tuple(bytes([d[0] ^ 1]) + d[1:] for d in path)
         items = resp.items[:i] + ((block, flipped),) + resp.items[i + 1 :]
         assert not verify_sampling(manifest, ch, type(resp)(items=items))
 

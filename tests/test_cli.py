@@ -187,6 +187,31 @@ class TestSealAndPost:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda h: {"digest_hex": h, "side": "left"},  # the older format, with a side per sibling
+        lambda h: "zz" + h[2:],
+    ], ids=["sided-entry", "non-hex-entry"])
+    def test_post_verify_malformed_path_is_usage_error(self, sealed, tmp_path, capsys, rewrite):
+        store, manifest, replica_dir, replica_manifest = sealed
+        transcript = tmp_path / "chain.json"
+        main([
+            "post", "gen", "--manifest", str(manifest), "--replica-manifest", str(replica_manifest),
+            "--replica-dir", str(replica_dir), "--length", "2", "--k-prime", "6", "--out", str(transcript),
+        ])
+        doc = json.loads(transcript.read_text())
+        for proof in doc["proofs"]:
+            for item in proof["items"]:
+                item["path"] = [rewrite(h) for h in item["path"]]
+        transcript.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main([
+            "post", "verify", "--manifest", str(manifest), "--replica-manifest", str(replica_manifest),
+            "--transcript", str(transcript), "--strict",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestShare:
     def test_split_join_round_trip(self, tmp_path):

@@ -10,13 +10,11 @@ from porstore.merkle import (
     Block,
     INNER_PREFIX,
     LEAF_PREFIX,
-    MerklePath,
     build_tree,
     expand_bytes,
     hash_bytes,
     path_length,
     prove_leaf,
-    tree_summary,
     verify_leaf,
 )
 
@@ -58,7 +56,7 @@ class TestBuildTree:
         b = Block(0, b"only block")
         tree = build_tree([b])
         assert tree.root == sha256(b"\x00" + le64(0) + b.data).digest()
-        assert prove_leaf(tree, 0).siblings == ()
+        assert prove_leaf(tree, 0) == ()
 
     def test_two_blocks(self):
         blocks = _blocks(2)
@@ -94,16 +92,18 @@ class TestBuildTree:
 
 class TestProveLeaf:
     def test_eight_leaf_sides(self):
-        # Traced by hand: leaf 5 pairs with 4, then node 2 with 3, node 1 with 0.
+        # Traced by hand: leaf 5 pairs with 4 (left), then node 2 with 3
+        # (right), node 1 with 0 (left); the verifier derives the sides.
         blocks = _blocks(8)
         tree = build_tree(blocks)
         path = prove_leaf(tree, 5)
-        assert [side for _, side in path.siblings] == ["left", "right", "left"]
         leaves = [sha256(b"\x00" + le64(i) + b.data).digest() for i, b in enumerate(blocks)]
         inner = lambda a, b: sha256(b"\x01" + a + b).digest()
-        assert path.siblings[0][0] == leaves[4]
-        assert path.siblings[1][0] == inner(leaves[6], leaves[7])
-        assert path.siblings[2][0] == inner(inner(leaves[0], leaves[1]), inner(leaves[2], leaves[3]))
+        assert path == (
+            leaves[4],
+            inner(leaves[6], leaves[7]),
+            inner(inner(leaves[0], leaves[1]), inner(leaves[2], leaves[3])),
+        )
 
     def test_out_of_range(self):
         tree = build_tree(_blocks(4))
@@ -115,7 +115,7 @@ class TestProveLeaf:
         for n in (1, 2, 3, 7, 8, 11, 16):
             tree = build_tree(_blocks(n))
             for i in range(n):
-                assert len(prove_leaf(tree, i).siblings) == path_length(n, i)
+                assert len(prove_leaf(tree, i)) == path_length(n, i)
 
 
 class TestVerifyLeaf:
@@ -124,7 +124,7 @@ class TestVerifyLeaf:
         blocks = [Block(i, d) for i, d in enumerate(payloads)]
         tree = build_tree(blocks)
         idx = data.draw(st.integers(min_value=0, max_value=len(blocks) - 1))
-        assert verify_leaf(tree.root, blocks[idx], prove_leaf(tree, idx))
+        assert verify_leaf(tree.root, len(blocks), blocks[idx], prove_leaf(tree, idx))
 
     def test_bit_flips_in_block_data_reject(self):
         # Exhaustive over all 256 bit positions of a 32-byte block.
@@ -135,20 +135,18 @@ class TestVerifyLeaf:
         for bit in range(256):
             data = bytearray(blocks[idx].data)
             data[bit // 8] ^= 1 << (bit % 8)
-            assert not verify_leaf(tree.root, Block(idx, bytes(data)), path)
+            assert not verify_leaf(tree.root, 8, Block(idx, bytes(data)), path)
 
     def test_sibling_swaps_reject(self):
         blocks = _blocks(8, seed=9)
         tree = build_tree(blocks)
         for idx in range(8):
-            path = prove_leaf(tree, idx)
-            honest = list(path.siblings)
+            honest = list(prove_leaf(tree, idx))
             for a in range(len(honest)):
                 for b in range(a + 1, len(honest)):
                     swapped = list(honest)
                     swapped[a], swapped[b] = swapped[b], swapped[a]
-                    bad = MerklePath(leaf_index=idx, siblings=tuple(swapped))
-                    assert not verify_leaf(tree.root, blocks[idx], bad)
+                    assert not verify_leaf(tree.root, 8, blocks[idx], tuple(swapped))
 
     def test_single_byte_mutations_reject(self):
         # Desk-scale exhaustive tamper check over data, siblings, and root.
@@ -157,35 +155,43 @@ class TestVerifyLeaf:
             tree = build_tree(blocks)
             for idx in range(n):
                 path = prove_leaf(tree, idx)
-                assert verify_leaf(tree.root, blocks[idx], path)
+                assert verify_leaf(tree.root, n, blocks[idx], path)
                 for pos in range(16):
                     data = bytearray(blocks[idx].data)
                     data[pos] ^= 0xFF
-                    assert not verify_leaf(tree.root, Block(idx, bytes(data)), path)
-                for s, (digest, side) in enumerate(path.siblings):
+                    assert not verify_leaf(tree.root, n, Block(idx, bytes(data)), path)
+                for s, digest in enumerate(path):
                     for pos in range(32):
                         tampered = bytearray(digest)
                         tampered[pos] ^= 0xFF
-                        siblings = list(path.siblings)
-                        siblings[s] = (bytes(tampered), side)
-                        assert not verify_leaf(tree.root, blocks[idx], MerklePath(idx, tuple(siblings)))
+                        siblings = list(path)
+                        siblings[s] = bytes(tampered)
+                        assert not verify_leaf(tree.root, n, blocks[idx], tuple(siblings))
                 for pos in range(32):
                     root = bytearray(tree.root)
                     root[pos] ^= 0xFF
-                    assert not verify_leaf(bytes(root), blocks[idx], path)
+                    assert not verify_leaf(bytes(root), n, blocks[idx], path)
 
     def test_wrong_index_rejects(self):
         blocks = _blocks(4)
         tree = build_tree(blocks)
         path = prove_leaf(tree, 1)
-        assert not verify_leaf(tree.root, Block(2, blocks[1].data), path)
+        assert not verify_leaf(tree.root, 4, Block(2, blocks[1].data), path)
 
-    def test_malformed_side_rejects_not_raises(self):
-        blocks = _blocks(2)
-        tree = build_tree(blocks)
-        path = prove_leaf(tree, 0)
-        bad = MerklePath(0, tuple((d, "up") for d, _ in path.siblings))
-        assert not verify_leaf(tree.root, blocks[0], bad)
+    def test_malformed_path_rejects_not_raises(self):
+        # Every leaf of every shape: a path one sibling short or one long,
+        # and a block index outside [0, leaf_count), each give False.
+        for n in (1, 2, 3, 7, 8, 11):
+            blocks = _blocks(n, seed=n)
+            tree = build_tree(blocks)
+            for idx in range(n):
+                path = prove_leaf(tree, idx)
+                assert verify_leaf(tree.root, n, blocks[idx], path)
+                if path:
+                    assert not verify_leaf(tree.root, n, blocks[idx], path[:-1])
+                assert not verify_leaf(tree.root, n, blocks[idx], path + (tree.root,))
+            for bad in (-1, n, n + 1):
+                assert not verify_leaf(tree.root, n, Block(bad, blocks[0].data), prove_leaf(tree, 0))
 
 
 def test_domain_separation_prefixes():
@@ -198,9 +204,3 @@ def test_domain_separation_prefixes():
     inner = sha256(b"\x01" + left + right).digest()
     assert sha256(b"\x00" + le64(0) + forged.data).digest() != inner
 
-
-def test_tree_summary_wire_form():
-    tree = build_tree(_blocks(5))
-    summary = tree_summary(tree)
-    assert summary == {"leaf_count": 5, "root_hex": tree.root.hex()}
-    assert bytes.fromhex(summary["root_hex"]) == tree.root

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from porstore.costs import CostModel, SimClock, TimingPolicy, default_policy, default_t_max
+from porstore.costs import CostModel, SimClock, TimingPolicy, default_t_max
 from porstore.encoding import le64
 from porstore.errors import EmptyInput, InvalidParams
 from porstore.merkle import Block, hash_bytes
@@ -124,7 +124,7 @@ class TestTimedAudit:
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x22" * 32, 0, manifest.k, 5)
         proof = porep_respond(replica, ch, clock, cost)
-        policy = default_policy(5, cost)
+        policy = TimingPolicy(t_max=default_t_max(5, cost), k_prime=5)
         assert porep_verify(manifest, replica.replica_root, proof, policy)
 
     def test_generation_attacker_rejected_on_timing(self):
@@ -134,7 +134,7 @@ class TestTimedAudit:
         cost = CostModel()
         d = 10_000
         k_prime = 5
-        policy = default_policy(k_prime, cost)
+        policy = TimingPolicy(t_max=default_t_max(k_prime, cost), k_prime=k_prime)
         assert policy.t_max < d * cost.hash_cost
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x23" * 32, 0, manifest.k, k_prime)
@@ -155,7 +155,7 @@ class TestTimedAudit:
         swapped = (Block(block.index, b"\x99" * len(block.data)), path)
         bad_response = type(proof.response)(items=(swapped,) + proof.response.items[1:])
         bad = PoRepProof(ch, bad_response, proof.started_at, proof.finished_at)
-        assert not porep_verify(manifest, replica.replica_root, bad, default_policy(4, cost))
+        assert not porep_verify(manifest, replica.replica_root, bad, TimingPolicy(default_t_max(4, cost), 4))
 
     def test_wrong_k_prime_rejected(self):
         manifest, _, _, replica = _sealed_world()
@@ -192,4 +192,4 @@ class TestTimedAudit:
         ch = derive_sampling_challenge(b"\x28" * 32, 0, manifest.k, 2)
         proof = porep_respond(replica, ch, SimClock(), cost)
         bad = PoRepProof(ch, proof.response, proof.started_at + 10**6, proof.finished_at)
-        assert not porep_verify(manifest, replica.replica_root, bad, default_policy(2, cost))
+        assert not porep_verify(manifest, replica.replica_root, bad, TimingPolicy(default_t_max(2, cost), 2))

@@ -32,7 +32,7 @@ def _world(k=16, block_size=64, d=3):
 
 
 def _strict_policy(cost):
-    return TimingPolicy(t_max=default_t_max(K_PRIME, cost), k_prime=K_PRIME, expected_cost=cost, contiguous=True)
+    return TimingPolicy(t_max=default_t_max(K_PRIME, cost), k_prime=K_PRIME, expected_cost=cost)
 
 
 class TestGeneration:
@@ -95,7 +95,7 @@ class TestVerification:
         other = generate_post(replica, b"\x33" * 32, 3, SimClock(), cost, k_prime=K_PRIME, tree=tree)
         proofs = list(post.proofs)
         proofs[1] = other.proofs[1]
-        forged = PoStProof(C0, 3, tuple(proofs), post.total_cost)
+        forged = PoStProof(C0, tuple(proofs))
         assert not verify_post(manifest, replica.replica_root, forged, _strict_policy(cost))
 
     def test_mutating_any_sampled_byte_rejects(self):
@@ -150,7 +150,7 @@ class TestVerification:
                 clock.advance(K_PRIME * d_heavy * cost.hash_cost)
             previous = PoRepProof(challenge, honest.response, started, clock.now)
             proofs.append(previous)
-        post = PoStProof(C0, 2, tuple(proofs), clock.now - proofs[0].started_at)
+        post = PoStProof(C0, tuple(proofs))
         assert not verify_post(manifest, replica.replica_root, post, _strict_policy(cost))
 
     def test_seed_unpredictable_before_previous_proof(self):
@@ -168,13 +168,6 @@ class TestVerification:
         revived = post_from_dict(json.loads(wire))
         assert revived == post
         assert verify_post(manifest, replica.replica_root, revived, _strict_policy(cost))
-
-    def test_total_cost_mismatch_rejects(self):
-        manifest, replica, tree = _world()
-        cost = CostModel()
-        post = generate_post(replica, C0, 2, SimClock(), cost, k_prime=K_PRIME, tree=tree)
-        forged = PoStProof(C0, 2, post.proofs, post.total_cost + 1)
-        assert not verify_post(manifest, replica.replica_root, forged, _strict_policy(cost))
 
 
 def test_transcript_stats_measures_chain_size():
