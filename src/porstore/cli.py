@@ -3,8 +3,16 @@
 Exit codes: 0 success/accept, 1 protocol rejection, 2 usage or I/O error.
 Every command takes randomness only through --seed flags (fresh entropy
 otherwise, echoed in the output) and supports --json for machine-readable
-stdout.  PORSTORE_COST_MODEL may name a JSON file overriding the default
-simulated cost model.
+stdout.  --seed, --salt and --c0 take exactly 32 bytes as 64 hex characters.
+
+store and seal write the Merkle tree beside the blocks (<file_id>.tree,
+<file_id>.sealed.tree); audit and post gen read only that file and the
+challenged blocks, and refuse a directory without it.  Every path is still
+verified against the manifest or replica root, so a forged tree file gives
+a rejection, never an acceptance.
+
+PORSTORE_COST_MODEL may name a JSON file overriding the default simulated
+cost model.
 """
 
 from __future__ import annotations
@@ -12,13 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import string
 import sys
 
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
-from .erasure import DEFAULT_REDUNDANCY, shard_byte_length
+from .erasure import DEFAULT_REDUNDANCY
 from .errors import InvalidParams, PorstoreError
-from .merkle import Block, build_tree, hash_bytes
+from .merkle import Block, MerkleTree, decode_tree, encode_tree, hash_bytes
 from .pos import (
     CodeParams,
     DEFAULT_BLOCK_SIZE,
@@ -31,7 +40,7 @@ from .pos import (
     verify_sampling,
     response_to_dict,
 )
-from .porep import DEFAULT_DELAY_ITERS, SealParams, replica_manifest_to_dict, seal_file, seal_params_from_dict
+from .porep import DEFAULT_DELAY_ITERS, Replica, SealParams, replica_manifest_to_dict, seal_blocks, sealed_tree
 from .post import (
     DEFAULT_CHAIN_LENGTH,
     generate_post,
@@ -62,8 +71,15 @@ def _epoch(value: str) -> int:
     return int(value)
 
 
-def _seed_bytes(value: str | None) -> bytes:
-    return bytes.fromhex(value) if value else os.urandom(32)
+def _bytes32(value: str, flag: str) -> bytes:
+    """Decode a --seed, --salt or --c0 value: exactly 64 hex characters."""
+    if len(value) != 64 or not all(c in string.hexdigits for c in value):
+        raise InvalidParams(f"{flag} must be 64 hex characters (32 bytes), got {value!r}")
+    return bytes.fromhex(value)
+
+
+def _seed_bytes(value: str | None, flag: str) -> bytes:
+    return os.urandom(32) if value is None else _bytes32(value, flag)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -85,25 +101,45 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _expected_block_len(manifest: FileManifest, index: int) -> int:
-    if manifest.coding is None:
-        return manifest.block_size
-    return shard_byte_length(manifest.coding, manifest.block_size, index)
+class _BlockFiles:
+    """A prover's directory: one file per block plus the tree over them.
+    .get(i) reads block i's file alone, and returns None when it is missing."""
+
+    def __init__(self, directory: str, file_id: str, kind: str, tree_name: str):
+        self._prefix = os.path.join(directory, f"{file_id}.{kind}")
+        self.tree_path = os.path.join(directory, tree_name)
+
+    def get(self, index: int) -> bytes | None:
+        try:
+            with open(f"{self._prefix}{index}", "rb") as fh:
+                return fh.read()
+        except FileNotFoundError:
+            return None
+
+    def write(self, blocks: list[bytes], tree: MerkleTree) -> None:
+        for i, data in enumerate(blocks):
+            with open(f"{self._prefix}{i}", "wb") as fh:
+                fh.write(data)
+        with open(self.tree_path, "wb") as fh:
+            fh.writelines(encode_tree(tree))
+
+    def read_tree(self, leaf_count: int) -> MerkleTree:
+        """Nothing rebuilds a missing tree file: that would read every
+        block, which is what the file is there to avoid."""
+        try:
+            with open(self.tree_path, "rb") as fh:
+                return decode_tree(fh.read(), leaf_count)
+        except FileNotFoundError:
+            raise PorstoreError(f"no tree file {self.tree_path}; store and seal write it beside the blocks") from None
 
 
-def _block_path(store_dir: str, manifest: FileManifest, index: int) -> str:
+def _store_files(store_dir: str, manifest: FileManifest) -> _BlockFiles:
     kind = "shard" if manifest.coding is not None else "block"
-    return os.path.join(store_dir, f"{manifest.file_id}.{kind}{index}")
+    return _BlockFiles(store_dir, manifest.file_id, kind, f"{manifest.file_id}.tree")
 
 
-def _load_store(store_dir: str, manifest: FileManifest) -> dict[int, bytes]:
-    store = {}
-    for i in range(manifest.k):
-        path = _block_path(store_dir, manifest, i)
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                store[i] = fh.read()
-    return store
+def _replica_files(replica_dir: str, manifest: FileManifest) -> _BlockFiles:
+    return _BlockFiles(replica_dir, manifest.file_id, "sealed", f"{manifest.file_id}.sealed.tree")
 
 
 # ---------------------------------------------------------------------------
@@ -131,10 +167,8 @@ def cmd_store(args) -> int:
             )
         coding = CodeParams(k_data, n_total)
 
-    manifest, blocks, _ = build_manifest(file_id, data, args.block_size, coding)
-    for b in blocks:
-        with open(_block_path(args.out_dir, manifest, b.index), "wb") as fh:
-            fh.write(b.data)
+    manifest, blocks, tree = build_manifest(file_id, data, args.block_size, coding)
+    _store_files(args.out_dir, manifest).write([b.data for b in blocks], tree)
     manifest_path = os.path.join(args.out_dir, f"{file_id}.manifest.json")
     _write_json(manifest_path, manifest.to_dict())
 
@@ -152,17 +186,11 @@ def cmd_store(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_audit(args) -> int:
+    seed = _seed_bytes(args.seed, "--seed")
     manifest = FileManifest.from_dict(_read_json(args.manifest))
-    store = _load_store(args.store_dir, manifest)
-    seed = _seed_bytes(args.seed)
+    store = _store_files(args.store_dir, manifest)
+    tree = store.read_tree(manifest.k)
     challenge = derive_sampling_challenge(seed, args.epoch, manifest.k, args.k_prime)
-
-    # The prover's best-effort tree: zero stand-ins for anything missing.
-    leaves = [
-        Block(i, store.get(i, b"\x00" * _expected_block_len(manifest, i)))
-        for i in range(manifest.k)
-    ]
-    tree = build_tree(leaves)
     response = respond_sampling(store, tree, challenge)
     ok = verify_sampling(manifest, challenge, response)
 
@@ -194,19 +222,20 @@ def cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_seal(args) -> int:
-    manifest = FileManifest.from_dict(_read_json(args.manifest))
-    store = _load_store(args.store_dir, manifest)
-    if len(store) != manifest.k:
-        raise PorstoreError(f"store is missing {manifest.k - len(store)} of {manifest.k} blocks")
-    salt = _seed_bytes(args.salt)
+    salt = _seed_bytes(args.salt, "--salt")
     params = SealParams(delay_iters=args.delay_iters, node_tag=args.node_tag.encode(), salt=salt)
-    blocks = [Block(i, store[i]) for i in range(manifest.k)]
-    replica = seal_file(blocks, params)
+    manifest = FileManifest.from_dict(_read_json(args.manifest))
+    store = _store_files(args.store_dir, manifest)
+    blocks = [Block(i, store.get(i)) for i in range(manifest.k)]
+    missing = sum(b.data is None for b in blocks)
+    if missing:
+        raise PorstoreError(f"store is missing {missing} of {manifest.k} blocks")
+    sealed = seal_blocks(blocks, params)
+    tree = sealed_tree(sealed)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    for i, sealed in enumerate(replica.sealed_blocks):
-        with open(os.path.join(args.out_dir, f"{manifest.file_id}.sealed{i}"), "wb") as fh:
-            fh.write(sealed)
+    _replica_files(args.out_dir, manifest).write(sealed, tree)
+    replica = Replica(params=params, sealed_blocks=sealed, replica_root=tree.root)
     replica_manifest = replica_manifest_to_dict(manifest.file_id, replica)
     replica_path = os.path.join(args.out_dir, f"{manifest.file_id}.replica.json")
     _write_json(replica_path, replica_manifest)
@@ -220,33 +249,17 @@ def cmd_seal(args) -> int:
     return EXIT_OK
 
 
-def _load_replica(args, manifest: FileManifest):
-    replica_manifest = _read_json(args.replica_manifest)
-    params = seal_params_from_dict(replica_manifest)
-    sealed = []
-    for i in range(manifest.k):
-        path = os.path.join(args.replica_dir, f"{manifest.file_id}.sealed{i}")
-        with open(path, "rb") as fh:
-            sealed.append(fh.read())
-    from .porep import Replica
-
-    return replica_manifest, Replica(
-        params=params,
-        sealed_blocks=tuple(sealed),
-        replica_root=bytes.fromhex(replica_manifest["replica_root_hex"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # post gen / verify / stats
 # ---------------------------------------------------------------------------
 
 def cmd_post_gen(args) -> int:
     manifest = FileManifest.from_dict(_read_json(args.manifest))
-    _, replica = _load_replica(args, manifest)
-    c0 = bytes.fromhex(args.c0) if args.c0 else hash_bytes(replica.replica_root + le64(args.epoch))
-    cost = _cost_model()
-    post = generate_post(replica, c0, args.length, SimClock(), cost, k_prime=args.k_prime)
+    replica_root = bytes.fromhex(_read_json(args.replica_manifest)["replica_root_hex"])
+    c0 = _bytes32(args.c0, "--c0") if args.c0 is not None else hash_bytes(replica_root + le64(args.epoch))
+    replica = _replica_files(args.replica_dir, manifest)
+    tree = replica.read_tree(manifest.k)
+    post = generate_post(replica, tree, c0, args.length, SimClock(), _cost_model(), k_prime=args.k_prime)
     _write_json(args.out, post_to_dict(post))
     payload = {"c0_hex": c0.hex(), "length": post.length, "total_cost": post.total_cost, "transcript_path": args.out}
     _emit(payload, args.json, [
@@ -290,7 +303,7 @@ def cmd_post_stats(args) -> int:
 def cmd_share_split(args) -> int:
     with open(args.file, "rb") as fh:
         data = fh.read()
-    seed = _seed_bytes(args.seed)
+    seed = _seed_bytes(args.seed, "--seed")
     params = ShareParams(threshold=args.threshold, share_count=args.shares)
     share_set = split_secret(data, params, seed)
     os.makedirs(args.out_dir, exist_ok=True)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParams
+from .errors import InvalidParams, MalformedInput, expect
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,12 @@ class CostModel:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "CostModel":
-        return cls(**d)
+    def from_dict(cls, d) -> "CostModel":
+        """Decode a cost-model file: integer fields only, no unknown keys."""
+        unknown = sorted(set(expect(d, dict, "a cost model")) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise MalformedInput(f"unknown cost model field(s) {unknown}")
+        return cls(**{name: expect(value, int, name) for name, value in d.items()})
 
     @classmethod
     def from_json_file(cls, path: str) -> "CostModel":

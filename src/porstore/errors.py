@@ -1,4 +1,5 @@
-"""Exception taxonomy shared by all protocol modules."""
+"""Exception taxonomy shared by all protocol modules, and the JSON type
+check their decoders share."""
 
 
 class PorstoreError(Exception):
@@ -47,3 +48,11 @@ class ConfigError(PorstoreError):
 
 class MalformedInput(PorstoreError):
     """A decoded file does not have the shape its format requires."""
+
+
+def expect(value, kind: type, what: str):
+    """Return a decoded JSON value if it has type `kind`, else raise
+    MalformedInput.  The check is exact, so true is not an int."""
+    if type(value) is not kind:
+        raise MalformedInput(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return value

@@ -10,6 +10,10 @@ prefixes prevent a 64-byte data block from forging an inner node.  A level
 with an odd node count promotes the unpaired node unchanged (no duplicate
 hashing), so the next level always holds ceil(n/2) digests.
 
+A tree travels to disk as every level's digests concatenated, leaves first,
+32 bytes each; the leaf count alone fixes each level's width, so the file
+carries no header and a file of any other size is malformed.
+
 A membership path is the sibling digests alone, leaf to root, as in RFC 6962
 audit paths.  Which side each sibling sits on, and which levels have none,
 follows from the leaf index and the leaf count, so the verifier derives both
@@ -20,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
+from typing import Iterator
 
 from .encoding import le64
-from .errors import EmptyInput, IndexOutOfRange
+from .errors import EmptyInput, IndexOutOfRange, MalformedInput
 
+DIGEST_SIZE = 32
 LEAF_PREFIX = b"\x00"
 INNER_PREFIX = b"\x01"
 
@@ -88,6 +94,34 @@ def build_tree(leaves: list[Block]) -> MerkleTree:
         level = nxt
         levels.append(tuple(level))
     return MerkleTree(leaf_count=len(leaves), levels=tuple(levels))
+
+
+def encode_tree(tree: MerkleTree) -> Iterator[Digest]:
+    """The tree file's bytes, one digest at a time: every level, leaves
+    first.  Writing them one by one keeps no second copy of the tree."""
+    return (digest for level in tree.levels for digest in level)
+
+
+def decode_tree(data: bytes, leaf_count: int) -> MerkleTree:
+    """Inverse of encode_tree, joined, for a tree over leaf_count leaves.
+
+    Only the size is checked: whether the digests hash up to a trusted root
+    is for the verifier to find out, one path at a time.
+    """
+    if leaf_count < 1:
+        raise MalformedInput(f"a tree needs at least one leaf, got a leaf count of {leaf_count}")
+    widths = [leaf_count]  # each level's node count, leaves first
+    while widths[-1] > 1:
+        widths.append((widths[-1] + 1) // 2)
+    size = DIGEST_SIZE * sum(widths)
+    if len(data) != size:
+        raise MalformedInput(f"a tree file over {leaf_count} leaves must hold {size} bytes, got {len(data)}")
+    levels, offset = [], 0
+    for width in widths:
+        end = offset + DIGEST_SIZE * width
+        levels.append(tuple(data[i : i + DIGEST_SIZE] for i in range(offset, end, DIGEST_SIZE)))
+        offset = end
+    return MerkleTree(leaf_count=leaf_count, levels=tuple(levels))
 
 
 def prove_leaf(tree: MerkleTree, index: int) -> MerklePath:

@@ -120,8 +120,8 @@ def honest_response_cost(k: int, indices: tuple[int, ...], cost: CostModel) -> i
 def respond_timed(
     blocks: Mapping[int, bytes], tree: MerkleTree, challenge: SamplingChallenge, clock: SimClock, units: int
 ) -> PoRepProof:
-    """Answer from a block store (anything with .get(index)) and its tree,
-    charging the clock `units` of simulated time for the work."""
+    """Answer from a block store and its tree, charging the clock `units`
+    of simulated time for the work."""
     started = clock.now
     response = respond_sampling(blocks, tree, challenge)
     clock.advance(units)
@@ -129,16 +129,12 @@ def respond_timed(
 
 
 def porep_respond(
-    replica: Replica,
-    challenge: SamplingChallenge,
-    clock: SimClock,
-    cost: CostModel,
-    tree: MerkleTree | None = None,
+    blocks: Mapping[int, bytes], tree: MerkleTree, challenge: SamplingChallenge, clock: SimClock, cost: CostModel
 ) -> PoRepProof:
-    """Honest prover: read sealed blocks, serve paths, charge the clock."""
-    tree = tree or replica_tree(replica)
-    units = honest_response_cost(len(replica.sealed_blocks), challenge.indices, cost)
-    return respond_timed(dict(enumerate(replica.sealed_blocks)), tree, challenge, clock, units)
+    """Honest prover: read the challenged sealed blocks, serve their paths
+    from the replica tree, charge the clock."""
+    units = honest_response_cost(tree.leaf_count, challenge.indices, cost)
+    return respond_timed(blocks, tree, challenge, clock, units)
 
 
 def porep_verify(manifest: FileManifest, replica_root: Digest, proof: PoRepProof, policy: TimingPolicy) -> bool:
@@ -169,11 +165,3 @@ def replica_manifest_to_dict(file_id: str, replica: Replica) -> dict:
         "delay_iters": replica.params.delay_iters,
         "replica_root_hex": replica.replica_root.hex(),
     }
-
-
-def seal_params_from_dict(d: dict) -> SealParams:
-    return SealParams(
-        delay_iters=d["delay_iters"],
-        node_tag=d["node_tag"].encode("utf-8"),
-        salt=bytes.fromhex(d["salt_hex"]),
-    )

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from .encoding import le64
 from .erasure import CodeParams, encode as rs_encode
-from .errors import EmptyInput, InvalidParams, MalformedInput, NonceReplay
+from .errors import EmptyInput, InvalidParams, NonceReplay, expect
 from .merkle import Block, Digest, MerklePath, MerkleTree, build_tree, hash_bytes, prove_leaf, verify_leaf
 
 DEFAULT_BLOCK_SIZE = 4096
@@ -236,8 +236,13 @@ def challenge_to_dict(manifest: FileManifest, challenge: SamplingChallenge, k_pr
     }
 
 
-def challenge_from_dict(d: dict) -> SamplingChallenge:
-    return SamplingChallenge(seed=bytes.fromhex(d["seed_hex"]), epoch=d["epoch"], indices=tuple(d["indices"]))
+def challenge_from_dict(d) -> SamplingChallenge:
+    d = expect(d, dict, "a challenge")
+    return SamplingChallenge(
+        seed=bytes.fromhex(expect(d["seed_hex"], str, "seed_hex")),
+        epoch=expect(d["epoch"], int, "epoch"),
+        indices=tuple(expect(i, int, "an index") for i in expect(d["indices"], list, "indices")),
+    )
 
 
 def response_to_dict(response: SamplingResponse) -> dict:
@@ -253,15 +258,14 @@ def response_to_dict(response: SamplingResponse) -> dict:
     return {"items": items}
 
 
-def _digest_from_hex(value) -> Digest:
-    if not isinstance(value, str):
-        raise MalformedInput(f"a path entry must be a hex digest string, got {type(value).__name__}")
-    return bytes.fromhex(value)
-
-
-def response_from_dict(d: dict) -> SamplingResponse:
+def response_from_dict(d) -> SamplingResponse:
     items = []
-    for item in d["items"]:
-        block = Block(index=item["index"], data=base64.b64decode(item["block_b64"]))
-        items.append((block, tuple(_digest_from_hex(h) for h in item["path"])))
+    for item in expect(expect(d, dict, "a response")["items"], list, "items"):
+        item = expect(item, dict, "an item")
+        block = Block(
+            index=expect(item["index"], int, "index"),
+            data=base64.b64decode(expect(item["block_b64"], str, "block_b64")),
+        )
+        path = expect(item["path"], list, "path")
+        items.append((block, tuple(bytes.fromhex(expect(h, str, "a path entry")) for h in path)))
     return SamplingResponse(items=tuple(items))

@@ -13,11 +13,11 @@ every sampled block of every link.  `transcript_stats` measures that cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 from .costs import CostModel, SimClock, TimingPolicy
 from .encoding import le64
-from .errors import InvalidParams
+from .errors import InvalidParams, expect
 from .merkle import Digest, MerkleTree, hash_bytes
 from .pos import (
     DEFAULT_K_PRIME,
@@ -28,7 +28,7 @@ from .pos import (
     response_from_dict,
     response_to_dict,
 )
-from .porep import PoRepProof, Replica, porep_respond, porep_verify, replica_tree
+from .porep import PoRepProof, porep_respond, porep_verify
 
 DEFAULT_CHAIN_LENGTH = 12
 
@@ -84,19 +84,19 @@ def run_chain(
 
 
 def generate_post(
-    replica: Replica,
+    blocks: Mapping[int, bytes],
+    tree: MerkleTree,
     c0: bytes,
     length: int,
     clock: SimClock,
     cost: CostModel,
     k_prime: int = DEFAULT_K_PRIME,
-    tree: MerkleTree | None = None,
 ) -> PoStProof:
-    """Honest chain over a held replica."""
-    tree = tree or replica_tree(replica)
+    """Honest chain over a held replica: its sealed blocks (any .get store)
+    and its tree."""
     return run_chain(
-        c0, length, len(replica.sealed_blocks), k_prime,
-        lambda _, challenge: porep_respond(replica, challenge, clock, cost, tree=tree),
+        c0, length, tree.leaf_count, k_prime,
+        lambda _, challenge: porep_respond(blocks, tree, challenge, clock, cost),
     )
 
 
@@ -141,12 +141,13 @@ def porep_proof_to_dict(proof: PoRepProof) -> dict:
     return d
 
 
-def porep_proof_from_dict(d: dict) -> PoRepProof:
+def porep_proof_from_dict(d) -> PoRepProof:
+    d = expect(d, dict, "a proof")
     return PoRepProof(
         challenge=challenge_from_dict(d["challenge"]),
         response=response_from_dict(d),
-        started_at=d["started_at"],
-        finished_at=d["finished_at"],
+        started_at=expect(d["started_at"], int, "started_at"),
+        finished_at=expect(d["finished_at"], int, "finished_at"),
     )
 
 
@@ -157,10 +158,12 @@ def post_to_dict(post: PoStProof) -> dict:
     }
 
 
-def post_from_dict(d: dict) -> PoStProof:
+def post_from_dict(d) -> PoStProof:
+    """Decode a transcript; a value of the wrong JSON type raises MalformedInput."""
+    d = expect(d, dict, "a transcript")
     return PoStProof(
-        initial_challenge=bytes.fromhex(d["c0_hex"]),
-        proofs=tuple(porep_proof_from_dict(p) for p in d["proofs"]),
+        initial_challenge=bytes.fromhex(expect(d["c0_hex"], str, "c0_hex")),
+        proofs=tuple(porep_proof_from_dict(p) for p in expect(d["proofs"], list, "proofs")),
     )
 
 

@@ -121,11 +121,11 @@ def test_criterion_5_post_chain_integrity():
     k, block_size, k_prime, length = 32, 64, 10, 12
     manifest, blocks, _ = build_manifest("f", bytes(range(256)) * (k * block_size // 256), block_size)
     replica = seal_file(blocks, SealParams(delay_iters=10_000, node_tag=b"post-acceptance", salt=b"\x61" * 32))
-    tree = replica_tree(replica)
+    store, tree = dict(enumerate(replica.sealed_blocks)), replica_tree(replica)
     policy = TimingPolicy(t_max=default_t_max(k_prime, COST), k_prime=k_prime, expected_cost=COST)
 
     # (a) honest chain verifies
-    post = generate_post(replica, b"\x62" * 32, length, SimClock(), COST, k_prime=k_prime, tree=tree)
+    post = generate_post(store, tree, b"\x62" * 32, length, SimClock(), COST, k_prime=k_prime)
     assert verify_post(manifest, replica.replica_root, post, policy)
 
     # (b) 12 proofs x 20 sampled byte positions, all rejected
@@ -242,7 +242,7 @@ def test_criterion_7_completeness_and_soundness_suite():
         verify_nonce(nonce_set, 0, respond_nonce(file, nonce_set.entries[0].nonce))
 
     replica = seal_file(blocks, SealParams(delay_iters=100, node_tag=b"c7", salt=b"\x66" * 32))
-    proof = porep_respond(replica, ch, SimClock(), COST)
+    proof = porep_respond(dict(enumerate(replica.sealed_blocks)), replica_tree(replica), ch, SimClock(), COST)
     policy = TimingPolicy(t_max=default_t_max(8, COST), k_prime=8)
     assert porep_verify(manifest, replica.replica_root, proof, policy)
     wrong_root = bytes([replica.replica_root[0] ^ 1]) + replica.replica_root[1:]

@@ -8,7 +8,12 @@ import pytest
 
 from porstore import cli
 from porstore.cli import main
-from porstore.pos import FileManifest, derive_sampling_challenge
+from porstore.costs import CostModel, SimClock
+from porstore.encoding import le64
+from porstore.merkle import Block, build_tree, decode_tree, hash_bytes
+from porstore.porep import sealed_tree
+from porstore.pos import FileManifest, derive_sampling_challenge, respond_sampling, response_to_dict
+from porstore.post import generate_post, post_to_dict
 
 SEED_HEX = "ab" * 32
 
@@ -132,17 +137,131 @@ def test_negative_epoch_refused_at_parse_time(command, capsys):
     assert "epoch must be an integer in [0, 2^64)" in capsys.readouterr().err
 
 
-class TestSealAndPost:
-    @pytest.fixture
-    def sealed(self, stored_file, tmp_path):
+@pytest.fixture
+def sealed(stored_file, tmp_path):
+    _, _, store, manifest = stored_file
+    replica_dir = tmp_path / "replica"
+    rc = main([
+        "seal", str(manifest), "--store-dir", str(store), "--out-dir", str(replica_dir),
+        "--node-tag", "miner-1", "--salt", "cd" * 32, "--delay-iters", "50",
+    ])
+    assert rc == 0
+    return store, manifest, replica_dir, replica_dir / "f0.replica.json"
+
+
+def _post_gen(manifest, replica_dir, out, *extra):
+    return main([
+        "post", "gen", "--manifest", str(manifest), "--replica-manifest", str(replica_dir / "f0.replica.json"),
+        "--replica-dir", str(replica_dir), "--length", "3", "--k-prime", "6", "--out", str(out), *extra,
+    ])
+
+
+@pytest.mark.parametrize("flag", ["audit --seed", "share split --seed", "seal --salt", "post gen --c0"])
+def test_seed_salt_and_c0_must_be_32_bytes(flag, sealed, tmp_path, capsys):
+    store, manifest, replica_dir, _ = sealed
+    commands = {
+        "audit --seed": lambda v: _audit(manifest, store, extra=("--seed", v)),
+        "share split --seed": lambda v: main([
+            "share", "split", str(manifest), "--threshold", "2", "--shares", "3",
+            "--out-dir", str(tmp_path / "shares"), "--seed", v]),
+        "seal --salt": lambda v: main([
+            "seal", str(manifest), "--store-dir", str(store), "--out-dir", str(tmp_path / "resealed"),
+            "--node-tag", "m", "--delay-iters", "1", "--salt", v]),
+        "post gen --c0": lambda v: _post_gen(manifest, replica_dir, tmp_path / "chain.json", "--c0", v),
+    }
+    for value in ("ab", "zz" * 32):
+        capsys.readouterr()
+        assert commands[flag](value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "64 hex characters" in err
+    assert not (tmp_path / "shares").exists() and not (tmp_path / "resealed").exists()
+    assert not (tmp_path / "chain.json").exists()
+
+
+def _assert_one_line_usage_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestTreeFile:
+    """store and seal write a tree file; audit and post gen read it and the
+    challenged blocks, and nothing else."""
+
+    def test_store_and_seal_write_the_tree(self, sealed):
+        store, manifest, replica_dir, _ = sealed
+        blocks = [Block(i, (store / f"f0.block{i}").read_bytes()) for i in range(32)]
+        assert decode_tree((store / "f0.tree").read_bytes(), 32) == build_tree(blocks)
+        sealed_blocks = [(replica_dir / f"f0.sealed{i}").read_bytes() for i in range(32)]
+        assert decode_tree((replica_dir / "f0.sealed.tree").read_bytes(), 32) == sealed_tree(sealed_blocks)
+
+    def test_missing_tree_file_is_usage_error(self, sealed, tmp_path, capsys):
+        store, manifest, replica_dir, _ = sealed
+        (store / "f0.tree").unlink()
+        (replica_dir / "f0.sealed.tree").unlink()
+        capsys.readouterr()
+        _assert_one_line_usage_error(_audit(manifest, store), capsys)
+        _assert_one_line_usage_error(_post_gen(manifest, replica_dir, tmp_path / "chain.json"), capsys)
+
+    def test_mis_sized_tree_file_is_usage_error(self, sealed, tmp_path, capsys):
+        store, manifest, replica_dir, _ = sealed
+        tree_file, sealed_tree_file = store / "f0.tree", replica_dir / "f0.sealed.tree"
+        tree_file.write_bytes(tree_file.read_bytes()[:-32])
+        sealed_tree_file.write_bytes(sealed_tree_file.read_bytes() + bytes(32))
+        capsys.readouterr()
+        _assert_one_line_usage_error(_audit(manifest, store), capsys)
+        _assert_one_line_usage_error(_post_gen(manifest, replica_dir, tmp_path / "chain.json"), capsys)
+
+    def test_flipped_tree_digest_rejects(self, stored_file):
         _, _, store, manifest = stored_file
-        replica_dir = tmp_path / "replica"
-        rc = main([
-            "seal", str(manifest), "--store-dir", str(store), "--out-dir", str(replica_dir),
-            "--node-tag", "miner-1", "--salt", "cd" * 32, "--delay-iters", "50",
-        ])
-        assert rc == 0
-        return store, manifest, replica_dir, replica_dir / "f0.replica.json"
+        tree_file = store / "f0.tree"
+        raw = bytearray(tree_file.read_bytes())
+        # The first challenged leaf's level-0 sibling lies on its path.
+        k = json.loads(manifest.read_text())["k"]
+        first = derive_sampling_challenge(bytes.fromhex(SEED_HEX), 0, k, 8).indices[0]
+        raw[32 * (first ^ 1)] ^= 1
+        tree_file.write_bytes(bytes(raw))
+        assert _audit(manifest, store) == 1
+
+    def test_prover_reads_only_the_challenged_blocks(self, sealed, tmp_path):
+        store, manifest, replica_dir, replica_manifest = sealed
+        doc = json.loads(manifest.read_text())
+        ch = derive_sampling_challenge(bytes.fromhex(SEED_HEX), 0, doc["k"], 8)
+        bare = tmp_path / "bare-store"
+        bare.mkdir()
+        for name in ["f0.manifest.json", "f0.tree"] + [f"f0.block{i}" for i in ch.indices]:
+            shutil.copy(store / name, bare / name)
+        assert _audit(bare / "f0.manifest.json", bare) == 0
+
+        chain = tmp_path / "chain.json"
+        assert _post_gen(manifest, replica_dir, chain) == 0
+        held = {item["index"] for proof in json.loads(chain.read_text())["proofs"] for item in proof["items"]}
+        bare_replica = tmp_path / "bare-replica"
+        bare_replica.mkdir()
+        for name in ["f0.replica.json", "f0.sealed.tree"] + [f"f0.sealed{i}" for i in held]:
+            shutil.copy(replica_dir / name, bare_replica / name)
+        assert _post_gen(manifest, bare_replica, tmp_path / "bare-chain.json") == 0
+        assert (tmp_path / "bare-chain.json").read_bytes() == chain.read_bytes()
+
+    def test_honest_transcripts_equal_a_full_rebuild(self, sealed, tmp_path):
+        store, manifest, replica_dir, replica_manifest = sealed
+        doc = FileManifest.from_dict(json.loads(manifest.read_text()))
+        blocks = {i: (store / f"f0.block{i}").read_bytes() for i in range(doc.k)}
+        ch = derive_sampling_challenge(bytes.fromhex(SEED_HEX), 0, doc.k, 8)
+        expected = respond_sampling(blocks, build_tree([Block(i, d) for i, d in blocks.items()]), ch)
+        assert _audit(manifest, store) == 0
+        assert json.loads((store / "f0.response.0.json").read_text()) == response_to_dict(expected)
+
+        sealed_blocks = {i: (replica_dir / f"f0.sealed{i}").read_bytes() for i in range(doc.k)}
+        root = bytes.fromhex(json.loads(replica_manifest.read_text())["replica_root_hex"])
+        post = generate_post(sealed_blocks, sealed_tree(list(sealed_blocks.values())),
+                             hash_bytes(root + le64(0)), 3, SimClock(), CostModel(), k_prime=6)
+        chain = tmp_path / "chain.json"
+        assert _post_gen(manifest, replica_dir, chain) == 0
+        assert json.loads(chain.read_text()) == post_to_dict(post)
+
+
+class TestSealAndPost:
 
     def test_seal_writes_replica(self, sealed):
         _, _, replica_dir, replica_manifest = sealed
@@ -211,6 +330,22 @@ class TestSealAndPost:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda doc: {**doc, "proofs": [{**doc["proofs"][0], "started_at": "0"}, *doc["proofs"][1:]]},
+        lambda doc: [doc],
+    ], ids=["string-started-at", "top-level-list"])
+    def test_post_verify_mistyped_transcript_is_usage_error(self, sealed, tmp_path, capsys, rewrite):
+        store, manifest, replica_dir, replica_manifest = sealed
+        transcript = tmp_path / "chain.json"
+        assert _post_gen(manifest, replica_dir, transcript) == 0
+        transcript.write_text(json.dumps(rewrite(json.loads(transcript.read_text()))))
+        capsys.readouterr()
+        _assert_one_line_usage_error(main([
+            "post", "verify", "--manifest", str(manifest), "--replica-manifest", str(replica_manifest),
+            "--transcript", str(transcript), "--strict",
+        ]), capsys)
+        _assert_one_line_usage_error(main(["post", "stats", "--transcript", str(transcript)]), capsys)
 
 
 class TestShare:
@@ -341,6 +476,15 @@ class TestExperimentCommand:
                    "--transcript", str(transcript), "--json"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["t_max"] == 10 * 3 * 7
+
+    def test_malformed_cost_model_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        cfg = self._config_file(tmp_path, trials=1)
+        cost_file = tmp_path / "cost.json"
+        monkeypatch.setenv("PORSTORE_COST_MODEL", str(cost_file))
+        for doc in ({"hash_cost": "x"}, {"hash_cost": True}, {"hash_cots": 1}, [1, 2, 5, 50]):
+            cost_file.write_text(json.dumps(doc))
+            capsys.readouterr()
+            _assert_one_line_usage_error(main(["experiment", str(cfg)]), capsys)
 
 
 def test_full_pipeline_round_trip(tmp_path):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from porstore.encoding import le64
-from porstore.errors import EmptyInput, IndexOutOfRange
+from porstore.errors import EmptyInput, IndexOutOfRange, MalformedInput
 from porstore.merkle import (
     Block,
     INNER_PREFIX,
     LEAF_PREFIX,
     build_tree,
+    decode_tree,
+    encode_tree,
     expand_bytes,
     hash_bytes,
     path_length,
@@ -192,6 +194,27 @@ class TestVerifyLeaf:
                 assert not verify_leaf(tree.root, n, blocks[idx], path + (tree.root,))
             for bad in (-1, n, n + 1):
                 assert not verify_leaf(tree.root, n, Block(bad, blocks[0].data), prove_leaf(tree, 0))
+
+
+class TestTreeFile:
+    def test_decode_inverts_encode(self):
+        for n in (*range(1, 34), 4096):
+            tree = build_tree(_blocks(n, size=8, seed=n))
+            data = b"".join(encode_tree(tree))
+            assert len(data) == 32 * sum(len(level) for level in tree.levels)
+            assert decode_tree(data, n) == tree
+
+    def test_size_off_by_one_digest_raises(self):
+        for n in (1, 2, 3, 7, 8, 33, 4096):
+            data = b"".join(encode_tree(build_tree(_blocks(n, size=8))))
+            for bad in (data[:-32], data + data[:32]):
+                with pytest.raises(MalformedInput):
+                    decode_tree(bad, n)
+            # The size fixes the leaf count: the same bytes read as one leaf
+            # more or fewer are malformed too.
+            for other in (n - 1, n + 1):
+                with pytest.raises(MalformedInput):
+                    decode_tree(data, other)
 
 
 def test_domain_separation_prefixes():

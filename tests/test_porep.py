@@ -32,6 +32,11 @@ def _sealed_world(k=16, block_size=64, d=3, tag=b"node-a"):
     return manifest, blocks, params, replica
 
 
+def _held(replica):
+    """What an honest prover holds: the sealed blocks as a store, and their tree."""
+    return dict(enumerate(replica.sealed_blocks)), replica_tree(replica)
+
+
 class TestKeystream:
     def test_definition_unrolled_for_d1(self):
         params = SealParams(delay_iters=1, node_tag=b"tag", salt=SALT)
@@ -123,7 +128,7 @@ class TestTimedAudit:
         cost = CostModel()
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x22" * 32, 0, manifest.k, 5)
-        proof = porep_respond(replica, ch, clock, cost)
+        proof = porep_respond(*_held(replica), ch, clock, cost)
         policy = TimingPolicy(t_max=default_t_max(5, cost), k_prime=5)
         assert porep_verify(manifest, replica.replica_root, proof, policy)
 
@@ -138,9 +143,8 @@ class TestTimedAudit:
         assert policy.t_max < d * cost.hash_cost
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x23" * 32, 0, manifest.k, k_prime)
-        tree = replica_tree(replica)
         started = clock.now
-        honest = porep_respond(replica, ch, clock, cost, tree=tree)
+        honest = porep_respond(*_held(replica), ch, clock, cost)
         clock.advance(k_prime * d * cost.hash_cost)  # the reseal penalty
         slow = PoRepProof(challenge=ch, response=honest.response, started_at=started, finished_at=clock.now)
         assert not porep_verify(manifest, replica.replica_root, slow, policy)
@@ -150,7 +154,7 @@ class TestTimedAudit:
         cost = CostModel()
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x24" * 32, 0, manifest.k, 4)
-        proof = porep_respond(replica, ch, clock, cost)
+        proof = porep_respond(*_held(replica), ch, clock, cost)
         block, path = proof.response.items[0]
         swapped = (Block(block.index, b"\x99" * len(block.data)), path)
         bad_response = type(proof.response)(items=(swapped,) + proof.response.items[1:])
@@ -161,7 +165,7 @@ class TestTimedAudit:
         manifest, _, _, replica = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x25" * 32, 0, manifest.k, 2)
-        proof = porep_respond(replica, ch, SimClock(), cost)
+        proof = porep_respond(*_held(replica), ch, SimClock(), cost)
         policy = TimingPolicy(t_max=10_000, k_prime=5)
         assert not porep_verify(manifest, replica.replica_root, proof, policy)
 
@@ -169,7 +173,7 @@ class TestTimedAudit:
         manifest, _, _, replica = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x26" * 32, 0, manifest.k, 3)
-        proof = porep_respond(replica, ch, SimClock(), cost)
+        proof = porep_respond(*_held(replica), ch, SimClock(), cost)
         strict = TimingPolicy(t_max=10_000, k_prime=3, expected_cost=cost)
         assert porep_verify(manifest, replica.replica_root, proof, strict)
         nudged = PoRepProof(ch, proof.response, proof.started_at, proof.finished_at + 1)
@@ -190,6 +194,6 @@ class TestTimedAudit:
         manifest, _, _, replica = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x28" * 32, 0, manifest.k, 2)
-        proof = porep_respond(replica, ch, SimClock(), cost)
+        proof = porep_respond(*_held(replica), ch, SimClock(), cost)
         bad = PoRepProof(ch, proof.response, proof.started_at + 10**6, proof.finished_at)
         assert not porep_verify(manifest, replica.replica_root, bad, TimingPolicy(default_t_max(2, cost), 2))

@@ -28,7 +28,7 @@ K_PRIME = 4
 def _world(k=16, block_size=64, d=3):
     manifest, blocks, _ = build_manifest("f", bytes(range(256)) * (k * block_size // 256), block_size)
     replica = seal_file(blocks, SealParams(delay_iters=d, node_tag=b"post-node", salt=b"\x32" * 32))
-    return manifest, replica, replica_tree(replica)
+    return manifest, replica, dict(enumerate(replica.sealed_blocks)), replica_tree(replica)
 
 
 def _strict_policy(cost):
@@ -37,26 +37,26 @@ def _strict_policy(cost):
 
 class TestGeneration:
     def test_single_link_base_case(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 1, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 1, SimClock(), cost, k_prime=K_PRIME)
         assert post.length == 1
         assert post.proofs[0].challenge.seed == hash_bytes(C0 + le64(0))
         assert verify_post(manifest, replica.replica_root, post, _strict_policy(cost))
 
     def test_chain_linkage_invariant(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 5, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 5, SimClock(), cost, k_prime=K_PRIME)
         previous = None
         for i, proof in enumerate(post.proofs):
             assert proof.challenge.seed == chain_seed(C0, i, previous)
             previous = proof
 
     def test_sequential_accounting(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 3, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
         elapsed = [p.finished_at - p.started_at for p in post.proofs]
         assert post.total_cost == sum(elapsed)
         assert post.total_cost >= 3 * min(elapsed)
@@ -67,41 +67,41 @@ class TestGeneration:
             assert proof.finished_at - proof.started_at == expected
 
     def test_reruns_are_byte_identical(self):
-        _, replica, tree = _world()
+        _, _, store, tree = _world()
         cost = CostModel()
-        a = generate_post(replica, C0, 3, SimClock(), cost, k_prime=K_PRIME, tree=tree)
-        b = generate_post(replica, C0, 3, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        a = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
+        b = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
         assert a == b
         assert json.dumps(post_to_dict(a), sort_keys=True) == json.dumps(post_to_dict(b), sort_keys=True)
         assert all(canonical_encode(x) == canonical_encode(y) for x, y in zip(a.proofs, b.proofs))
 
     def test_zero_length_rejected(self):
-        _, replica, tree = _world()
+        _, _, store, tree = _world()
         with pytest.raises(InvalidParams):
-            generate_post(replica, C0, 0, SimClock(), CostModel(), k_prime=K_PRIME, tree=tree)
+            generate_post(store, tree, C0, 0, SimClock(), CostModel(), k_prime=K_PRIME)
 
 
 class TestVerification:
     def test_honest_chain_accepts(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 6, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 6, SimClock(), cost, k_prime=K_PRIME)
         assert verify_post(manifest, replica.replica_root, post, _strict_policy(cost))
 
     def test_foreign_proof_breaks_the_chain(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 3, SimClock(), cost, k_prime=K_PRIME, tree=tree)
-        other = generate_post(replica, b"\x33" * 32, 3, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
+        other = generate_post(store, tree, b"\x33" * 32, 3, SimClock(), cost, k_prime=K_PRIME)
         proofs = list(post.proofs)
         proofs[1] = other.proofs[1]
         forged = PoStProof(C0, tuple(proofs))
         assert not verify_post(manifest, replica.replica_root, forged, _strict_policy(cost))
 
     def test_mutating_any_sampled_byte_rejects(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 4, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 4, SimClock(), cost, k_prime=K_PRIME)
         policy = _strict_policy(cost)
         rng = random.Random(40)
         for proof_idx in range(post.length):
@@ -117,9 +117,9 @@ class TestVerification:
     def test_nonchained_timestamp_tampering_needs_strict_policy(self):
         # Without strict binding, a one-unit shave off the final proof's
         # elapsed time still passes t_max; the strict policy closes that.
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 2, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 2, SimClock(), cost, k_prime=K_PRIME)
         last = canonical_length(post.proofs[1])
         shaved = mutate_proof_byte(post, 1, last - 8)  # finished_at low byte
         lax = TimingPolicy(t_max=default_t_max(K_PRIME, cost), k_prime=K_PRIME)
@@ -132,7 +132,7 @@ class TestVerification:
 
     def test_drop_then_reseal_rejected(self):
         # Link 0 honest, link 1 carries an on-demand reseal penalty.
-        manifest, replica, tree = _world(d=3)
+        manifest, replica, store, tree = _world(d=3)
         cost = CostModel()
         d_heavy = 10_000
         clock = SimClock()
@@ -145,7 +145,7 @@ class TestVerification:
             seed = chain_seed(C0, i, previous)
             challenge = derive_sampling_challenge(seed, i, manifest.k, K_PRIME)
             started = clock.now
-            honest = porep_respond(replica, challenge, clock, cost, tree=tree)
+            honest = porep_respond(store, tree, challenge, clock, cost)
             if i == 1:
                 clock.advance(K_PRIME * d_heavy * cost.hash_cost)
             previous = PoRepProof(challenge, honest.response, started, clock.now)
@@ -154,16 +154,16 @@ class TestVerification:
         assert not verify_post(manifest, replica.replica_root, post, _strict_policy(cost))
 
     def test_seed_unpredictable_before_previous_proof(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 2, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 2, SimClock(), cost, k_prime=K_PRIME)
         perturbed = mutate_proof_byte(post, 0, 8 * K_PRIME)  # first block byte
         assert chain_seed(C0, 1, perturbed.proofs[0]) != chain_seed(C0, 1, post.proofs[0])
 
     def test_verification_replays_from_transcript_alone(self):
-        manifest, replica, tree = _world()
+        manifest, replica, store, tree = _world()
         cost = CostModel()
-        post = generate_post(replica, C0, 3, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+        post = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
         wire = json.dumps(post_to_dict(post), sort_keys=True)
         revived = post_from_dict(json.loads(wire))
         assert revived == post
@@ -171,9 +171,9 @@ class TestVerification:
 
 
 def test_transcript_stats_measures_chain_size():
-    _, replica, tree = _world()
+    _, _, store, tree = _world()
     cost = CostModel()
-    post = generate_post(replica, C0, 5, SimClock(), cost, k_prime=K_PRIME, tree=tree)
+    post = generate_post(store, tree, C0, 5, SimClock(), cost, k_prime=K_PRIME)
     stats = transcript_stats(post)
     assert stats["length"] == 5
     assert stats["total_bytes"] == sum(len(canonical_encode(p)) for p in post.proofs)
