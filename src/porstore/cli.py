@@ -26,7 +26,7 @@ import sys
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
 from .erasure import DEFAULT_REDUNDANCY
-from .errors import InvalidParams, PorstoreError
+from .errors import InvalidParams, PorstoreError, expect
 from .merkle import Block, MerkleTree, decode_tree, encode_tree, hash_bytes
 from .pos import (
     CodeParams,
@@ -253,9 +253,15 @@ def cmd_seal(args) -> int:
 # post gen / verify / stats
 # ---------------------------------------------------------------------------
 
+def _replica_root(path: str) -> bytes:
+    """The one field of a replica manifest that post gen and verify use."""
+    replica_manifest = expect(_read_json(path), dict, "a replica manifest")
+    return bytes.fromhex(expect(replica_manifest["replica_root_hex"], str, "replica_root_hex"))
+
+
 def cmd_post_gen(args) -> int:
     manifest = FileManifest.from_dict(_read_json(args.manifest))
-    replica_root = bytes.fromhex(_read_json(args.replica_manifest)["replica_root_hex"])
+    replica_root = _replica_root(args.replica_manifest)
     c0 = _bytes32(args.c0, "--c0") if args.c0 is not None else hash_bytes(replica_root + le64(args.epoch))
     replica = _replica_files(args.replica_dir, manifest)
     tree = replica.read_tree(manifest.k)
@@ -271,8 +277,7 @@ def cmd_post_gen(args) -> int:
 
 def cmd_post_verify(args) -> int:
     manifest = FileManifest.from_dict(_read_json(args.manifest))
-    replica_manifest = _read_json(args.replica_manifest)
-    replica_root = bytes.fromhex(replica_manifest["replica_root_hex"])
+    replica_root = _replica_root(args.replica_manifest)
     post = post_from_dict(_read_json(args.transcript))
     cost = _cost_model()
     k_prime = args.k_prime or (len(post.proofs[0].challenge.indices) if post.proofs else DEFAULT_K_PRIME)

@@ -62,15 +62,19 @@ class FileManifest:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FileManifest":
+    def from_dict(cls, d) -> "FileManifest":
+        d = expect(d, dict, "a manifest")
         coding = d.get("coding")
+        if coding is not None:
+            coding = expect(coding, dict, "coding")
+            coding = CodeParams(expect(coding["k_data"], int, "k_data"), expect(coding["n_total"], int, "n_total"))
         return cls(
-            file_id=d["file_id"],
-            total_length=d["total_length"],
-            block_size=d["block_size"],
-            k=d["k"],
-            merkle_root=bytes.fromhex(d["merkle_root_hex"]),
-            coding=None if coding is None else CodeParams(coding["k_data"], coding["n_total"]),
+            file_id=expect(d["file_id"], str, "file_id"),
+            total_length=expect(d["total_length"], int, "total_length"),
+            block_size=expect(d["block_size"], int, "block_size"),
+            k=expect(d["k"], int, "k"),
+            merkle_root=bytes.fromhex(expect(d["merkle_root_hex"], str, "merkle_root_hex")),
+            coding=coding,
         )
 
 

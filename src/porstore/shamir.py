@@ -54,7 +54,7 @@ def share_polynomial(secret: int, coeffs: list[int], xs: list[int], p: int) -> l
 def split_secret(data: bytes, params: ShareParams, seed: bytes) -> ShareSet:
     """Split into share_count shares, any threshold of which reconstruct."""
     p = params.field_modulus
-    chunks = [c % p for c in bytes_to_symbols(data, CHUNK_BITS)]
+    chunks = bytes_to_symbols(data, CHUNK_BITS)
     xs = list(range(1, params.share_count + 1))
     ys: list[list[int]] = [[] for _ in xs]
     for j, chunk in enumerate(chunks):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -73,6 +74,15 @@ class TestStoreAndAudit:
 
     def test_unreadable_input_is_usage_error(self, tmp_path):
         assert main(["store", str(tmp_path / "ghost.bin"), "--out-dir", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("k", "256"), ("block_size", 512.0), ("merkle_root_hex", 5), ("coding", {"k_data": True, "n_total": 64}),
+    ])
+    def test_mistyped_manifest_is_usage_error(self, stored_file, field, value, capsys):
+        _, _, store, manifest = stored_file
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), field: value}))
+        capsys.readouterr()
+        _assert_one_line_usage_error(_audit(manifest, store), capsys)
 
     def test_half_dropped_store_accept_count_tracks_closed_form(self, tmp_path):
         # 1000 epochs against a store missing half its blocks: accepts ~ (1/2)^10.
@@ -331,6 +341,19 @@ class TestSealAndPost:
         assert rc == 2
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_mistyped_replica_manifest_is_usage_error(self, sealed, tmp_path, capsys):
+        store, manifest, replica_dir, replica_manifest = sealed
+        transcript = tmp_path / "chain.json"
+        assert _post_gen(manifest, replica_dir, transcript) == 0
+        replica_manifest.write_text(json.dumps({**json.loads(replica_manifest.read_text()), "replica_root_hex": 5}))
+        capsys.readouterr()
+        _assert_one_line_usage_error(main([
+            "post", "verify", "--manifest", str(manifest), "--replica-manifest", str(replica_manifest),
+            "--transcript", str(transcript), "--strict",
+        ]), capsys)
+        _assert_one_line_usage_error(_post_gen(manifest, replica_dir, tmp_path / "again.json"), capsys)
+        assert not (tmp_path / "again.json").exists()
+
     @pytest.mark.parametrize("rewrite", [
         lambda doc: {**doc, "proofs": [{**doc["proofs"][0], "started_at": "0"}, *doc["proofs"][1:]]},
         lambda doc: [doc],
@@ -387,6 +410,24 @@ class TestShare:
         assert main(["share", "join", str(shares[0]), str(shares[1]), "--out", str(tmp_path / "x.bin")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "x.bin").exists()
+
+
+    def test_inconsistent_shares_are_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "s.bin"
+        src.write_bytes(random.Random(15).randbytes(1000))
+        out_dir = tmp_path / "shares"
+        main(["share", "split", str(src), "--threshold", "3", "--shares", "5",
+              "--seed", "ee" * 32, "--out-dir", str(out_dir)])
+        # Share 1 claims share 4's values as its own.
+        first = out_dir / "s.bin.share1.json"
+        tampered = json.loads(first.read_text())
+        tampered["y_values"] = json.loads((out_dir / "s.bin.share4.json").read_text())["y_values"]
+        first.write_text(json.dumps(tampered))
+        capsys.readouterr()
+        rc = main(["share", "join", *[str(out_dir / f"s.bin.share{x}.json") for x in (1, 2, 3)],
+                   "--out", str(tmp_path / "x.bin")])
+        _assert_one_line_usage_error(rc, capsys)
         assert not (tmp_path / "x.bin").exists()
 
 

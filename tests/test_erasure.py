@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from porstore.encoding import bytes_to_symbols, symbols_to_bytes
 from porstore.erasure import encode, decode, parity_from_bytes
-from porstore.errors import DuplicateShard, InsufficientShards, InvalidParams, RaggedInput
-from porstore.field import inv_mod
+from porstore.errors import DuplicateShard, InsufficientShards, InvalidParams, MalformedInput, RaggedInput
+from porstore.field import inv_mod, lagrange_at
 from porstore.erasure import CodeParams
 
 P = 65537
@@ -113,6 +114,62 @@ class TestDecode:
         enc = encode([a, b], CodeParams(2, 4))
         assert 65536 in parity_from_bytes(enc.shards[2][1])
         assert decode([enc.shards[2], enc.shards[3]], enc.params, block_len=2) == [a, b]
+
+    def test_parity_slot_above_the_field_is_rejected(self):
+        enc = encode(_random_blocks(2, 64, seed=10), CodeParams(2, 4))
+        for slot in (P, 0xFFFFFF):
+            bad = enc.shards[2][1][:-3] + slot.to_bytes(3, "little")
+            with pytest.raises(MalformedInput):
+                parity_from_bytes(bad)
+            with pytest.raises(MalformedInput):
+                decode([(2, bad), enc.shards[3]], enc.params, block_len=64)
+        assert parity_from_bytes((P - 1).to_bytes(3, "little")) == [P - 1]
+
+
+def _shards_digest(shards):
+    h = hashlib.sha256()
+    for i, shard in shards:
+        h.update(i.to_bytes(4, "big") + len(shard).to_bytes(4, "big") + shard)
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    """Shard and decode bytes recorded from the per-symbol implementation
+    that the packed-column code replaced."""
+
+    @pytest.mark.parametrize("k, n, size, seed, digest", [
+        (8, 16, 16384, 19, "6c8338c8c439406501b04fd4aaed7ca664dcaa2cece5f8b9c58389029be6c46a"),
+        (4, 8, 4096, 20, "66eec08a659e7b64fe324c5ff969a98cd8b38a367e247b72557cace5bf2b9768"),
+        (1, 3, 1000, 21, "057202a8b27a4696989ad8568f5011b23e9be4ceca355423fd1e5b92ab3abd90"),
+    ])
+    def test_encode(self, k, n, size, seed, digest):
+        assert _shards_digest(encode(_random_blocks(k, size, seed), CodeParams(k, n)).shards) == digest
+
+    def test_decode(self):
+        enc = encode(_random_blocks(8, 16384, 19), CodeParams(8, 16))
+        parity_only = decode(list(enc.shards[8:]), enc.params, block_len=16384)
+        assert hashlib.sha256(b"".join(parity_only)).hexdigest() == (
+            "f742039ce3980b46e90e37c78297e199713bf716a4c0f419b56307552ed5a281")
+        enc = encode(_random_blocks(4, 4096, 20), CodeParams(4, 8))
+        mixed = decode([enc.shards[i] for i in (1, 5, 6, 7)], enc.params)
+        assert hashlib.sha256(b"".join(mixed)).hexdigest() == (
+            "b28bbf19b5cd096c499f740b1092254f99edb5bc7ba88e3dd7bd83eea8d0784c")
+
+    @given(
+        shape=st.integers(min_value=1, max_value=16).flatmap(
+            lambda n: st.tuples(st.integers(min_value=1, max_value=min(n, 8)), st.just(n))),
+        length=st.integers(min_value=1, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_parity_matches_the_per_symbol_formula(self, shape, length, seed):
+        k, n = shape
+        blocks = _random_blocks(k, length, seed)
+        columns = [bytes_to_symbols(b, 15) for b in blocks]
+        enc = encode(blocks, CodeParams(k, n))
+        for x in range(k + 1, n + 1):
+            row = lagrange_at(list(range(1, k + 1)), x, P)
+            expected = [sum(c * col[j] for c, col in zip(row, columns)) % P for j in range(len(columns[0]))]
+            assert enc.shards[x - 1] == (x - 1, b"".join(s.to_bytes(3, "little") for s in expected))
 
 
 class TestFieldArithmetic:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -5,7 +6,8 @@ from collections import Counter
 import pytest
 
 from porstore.encoding import bytes_to_symbols
-from porstore.errors import DuplicateShare, InsufficientShares, InvalidParams
+from porstore.errors import DuplicateShare, InsufficientShares, InvalidParams, MalformedInput
+from porstore.field import inv_mod
 from porstore.shamir import (
     DEFAULT_PRIME,
     ShareParams,
@@ -64,6 +66,30 @@ class TestSplitAndReconstruct:
             reconstruct(dup, params, 6)
         with pytest.raises(InvalidParams):
             ShareParams(3, 2)
+
+    def test_output_pinned(self):
+        # Digests recorded from the quadratic packers these replaced.
+        secret = random.Random(22).randbytes(16384)
+        ss = split_secret(secret, ShareParams(3, 5), bytes(range(32)))
+        assert hashlib.sha256(repr(ss.shares).encode()).hexdigest() == (
+            "7898aa2276b21bbb6680bba6611e9534ff75071b21f2aa724cce6af6a49e013d")
+        restored = reconstruct([ss.shares[i] for i in (0, 3, 4)], ss.params, len(secret))
+        assert hashlib.sha256(restored).hexdigest() == (
+            "616b66f7ac28f770ed485bd7448a6c64f9c33f037bff32dadf487671cbbdacc5")
+
+    def test_inconsistent_last_chunk_rejected(self):
+        # Shift share 1's last y so that chunk alone reconstructs to p - 1,
+        # which no 60-bit chunk can be; every earlier chunk stays right.
+        data = random.Random(14).randbytes(1000)
+        params = ShareParams(3, 5)
+        shares = list(split_secret(data, params, SEED).shares[:3])
+        chunks = bytes_to_symbols(data, 60)
+        lam = reconstruction_coefficients([x for x, _ in shares], P)
+        x, ys = shares[0]
+        shift = (P - 1 - chunks[-1]) * inv_mod(lam[0], P) % P
+        shares[0] = (x, ys[:-1] + ((ys[-1] + shift) % P,))
+        with pytest.raises(MalformedInput):
+            reconstruct(shares, params, len(data))
 
     def test_field_modulus_is_fixed(self):
         # 60-bit chunks only survive reduction mod a prime above 2^60.
