@@ -50,9 +50,11 @@ class MalformedInput(PorstoreError):
     """A decoded file does not have the shape its format requires."""
 
 
-def expect(value, kind: type, what: str):
-    """Return a decoded JSON value if it has type `kind`, else raise
-    MalformedInput.  The check is exact, so true is not an int."""
-    if type(value) is not kind:
-        raise MalformedInput(f"{what} must be {kind.__name__}, got {type(value).__name__}")
-    return value
+def expect(value, kind: type | tuple[type, ...], what: str):
+    """Return a decoded JSON value if it has type `kind` (or one of the
+    types in a tuple), else raise MalformedInput.  The check is exact, so
+    true is not an int."""
+    if type(value) is kind or (type(kind) is tuple and type(value) in kind):
+        return value
+    names = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
+    raise MalformedInput(f"{what} must be {names}, got {type(value).__name__}")

@@ -82,18 +82,25 @@ def inner_digest(left: Digest, right: Digest) -> Digest:
 
 def build_tree(leaves: list[Block]) -> MerkleTree:
     """Build the full tree over the given blocks' leaf digests."""
-    if not leaves:
+    # leaf_digest inlined: with tree_over's level loop this is the whole cost of a build.
+    return tree_over([sha256(LEAF_PREFIX + b.index.to_bytes(8, "little") + b.data).digest() for b in leaves])
+
+
+def tree_over(leaf_digests: list[Digest]) -> MerkleTree:
+    """Build the inner levels over leaf digests already computed, leaf i
+    being the digest of block i."""
+    if not leaf_digests:
         raise EmptyInput("cannot build a Merkle tree over zero blocks")
-    # leaf_digest and inner_digest inlined: this loop is the whole cost of a build.
-    level = [sha256(LEAF_PREFIX + b.index.to_bytes(8, "little") + b.data).digest() for b in leaves]
+    level = leaf_digests
     levels = [tuple(level)]
     while len(level) > 1:
+        # inner_digest inlined, as in the leaf hashing above.
         nxt = [sha256(INNER_PREFIX + level[i] + level[i + 1]).digest() for i in range(0, len(level) - 1, 2)]
         if len(level) % 2:
             nxt.append(level[-1])  # odd node promoted unchanged
         level = nxt
         levels.append(tuple(level))
-    return MerkleTree(leaf_count=len(leaves), levels=tuple(levels))
+    return MerkleTree(leaf_count=len(leaf_digests), levels=tuple(levels))
 
 
 def encode_tree(tree: MerkleTree) -> Iterator[Digest]:

@@ -51,7 +51,7 @@ from typing import Callable, ClassVar, Mapping, Optional
 
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
-from .errors import ConfigError, InvalidParams
+from .errors import ConfigError, InvalidParams, expect
 from .merkle import Block, Digest, MerkleTree, expand_bytes, hash_bytes, path_length
 from .pos import CodeParams, FileManifest, SamplingChallenge, build_manifest, derive_sampling_challenge, verify_sampling
 from .porep import (
@@ -63,6 +63,7 @@ from .porep import (
     respond_timed,
     seal_blocks,
     sealed_tree,
+    split_ranges,
 )
 from .post import DEFAULT_CHAIN_LENGTH, PoStProof, run_chain, verify_post
 
@@ -189,12 +190,21 @@ def behavior_to_dict(behavior: Behavior) -> dict:
     return {"type": behavior.label, **asdict(behavior)}
 
 
+# JSON types a behavior field's annotation accepts; a float field takes an int too.
+_FIELD_KINDS = {"int": int, "float": (int, float), "str": str}
+
+
 def behavior_from_dict(d: dict) -> Behavior:
-    """Inverse of behavior_to_dict; a missing required field raises KeyError."""
-    cls = BEHAVIORS.get(d.get("type"))
+    """Inverse of behavior_to_dict; a missing required field raises KeyError,
+    a field of the wrong JSON type MalformedInput."""
+    label = expect(d, dict, "a behavior").get("type")
+    cls = BEHAVIORS.get(label) if type(label) is str else None
     if cls is None:
-        raise ConfigError(f"unknown behavior type {d.get('type')!r}")
-    return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d or f.default is MISSING})
+        raise ConfigError(f"unknown behavior type {label!r}")
+    return cls(**{
+        f.name: expect(d[f.name], _FIELD_KINDS[f.type], f"{label}.{f.name}")
+        for f in fields(cls) if f.name in d or f.default is MISSING
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +230,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown protocol {self.protocol!r}")
         if self.trials < 1:
             raise InvalidParams("trials must be >= 1")
+        if len(self.rng_seed) != 32:
+            raise InvalidParams(f"rng_seed must be 32 bytes, got {len(self.rng_seed)}")
         if self.coding is not None and self.coding.n_total != self.k:
             raise ConfigError("with coding, k must equal coding.n_total (audits run over shards)")
 
@@ -242,20 +254,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Decode a config file, checking every field's JSON type."""
+        expect(d, dict, "an experiment config")
         coding = d.get("coding")
-        seal = d.get("seal") or {}
+        if coding is not None:
+            expect(coding, dict, "coding")
+            coding = CodeParams(expect(coding["k_data"], int, "coding.k_data"),
+                                expect(coding["n_total"], int, "coding.n_total"))
+        seal = expect(d.get("seal") or {}, dict, "seal")
+        t_max = seal.get("t_max")
         return cls(
-            protocol=d["protocol"],
-            k=d["k"],
-            k_prime=d["k_prime"],
-            block_size=d["block_size"],
-            behaviors=tuple(behavior_from_dict(b) for b in d["behaviors"]),
-            trials=d["trials"],
-            rng_seed=bytes.fromhex(d["rng_seed_hex"]),
-            coding=None if coding is None else CodeParams(coding["k_data"], coding["n_total"]),
-            delay_iters=seal.get("d", DEFAULT_DELAY_ITERS),
-            t_max=seal.get("t_max"),
-            post_length=d.get("post_length", DEFAULT_CHAIN_LENGTH),
+            protocol=expect(d["protocol"], str, "protocol"),
+            k=expect(d["k"], int, "k"),
+            k_prime=expect(d["k_prime"], int, "k_prime"),
+            block_size=expect(d["block_size"], int, "block_size"),
+            behaviors=tuple(behavior_from_dict(b) for b in expect(d["behaviors"], list, "behaviors")),
+            trials=expect(d["trials"], int, "trials"),
+            rng_seed=bytes.fromhex(expect(d["rng_seed_hex"], str, "rng_seed_hex")),
+            coding=coding,
+            delay_iters=expect(seal.get("d", DEFAULT_DELAY_ITERS), int, "seal.d"),
+            t_max=None if t_max is None else expect(t_max, int, "seal.t_max"),
+            post_length=expect(d.get("post_length", DEFAULT_CHAIN_LENGTH), int, "post_length"),
         )
 
 
@@ -584,18 +603,12 @@ def _run_trial_range(
     return rows
 
 
-def _split(n: int, parts: int) -> list[tuple[int, int]]:
-    """[0, n) as at most `parts` contiguous, non-empty, near-equal ranges."""
-    bounds = [(n * p) // parts for p in range(parts + 1)]
-    return [(bounds[p], bounds[p + 1]) for p in range(parts) if bounds[p] < bounds[p + 1]]
-
-
 def _seal_in_pool(pool: ProcessPoolExecutor, config: ExperimentConfig, parts: int) -> list[tuple[bytes, ...]]:
     """Seal every identity's replica once, as (identity, block range) jobs
     spread over the pool.  Each block's d-chain runs whole inside one job."""
     _, blocks, _ = _file_blocks(config)
     params = _seal_params(config)
-    slices = [blocks[lo:hi] for lo, hi in _split(len(blocks), parts)]
+    slices = [blocks[lo:hi] for lo, hi in split_ranges(len(blocks), parts)]
     pieces = pool.map(seal_blocks, [s for _ in params for s in slices], [p for p in params for _ in slices])
     return [tuple(itertools.chain.from_iterable(itertools.islice(pieces, len(slices)))) for _ in params]
 
@@ -618,7 +631,7 @@ def run_experiment(config: ExperimentConfig, cost: Optional[CostModel] = None, w
     if workers <= 1:
         partials = [_run_trial_range(config, 0, config.trials, cost)]
     else:
-        chunks = _split(config.trials, workers)
+        chunks = split_ranges(config.trials, workers)
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             sealed = None if config.protocol == "pos" else _seal_in_pool(pool, config, len(chunks))
             futures = [pool.submit(_run_trial_range, config, lo, hi, cost, sealed) for lo, hi in chunks]

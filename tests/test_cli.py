@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import random
 import shutil
@@ -12,7 +13,7 @@ from porstore.cli import main
 from porstore.costs import CostModel, SimClock
 from porstore.encoding import le64
 from porstore.merkle import Block, build_tree, decode_tree, hash_bytes
-from porstore.porep import sealed_tree
+from porstore.porep import SealParams, seal_blocks, sealed_tree, split_ranges
 from porstore.pos import FileManifest, derive_sampling_challenge, respond_sampling, response_to_dict
 from porstore.post import generate_post, post_to_dict
 
@@ -271,6 +272,76 @@ class TestTreeFile:
         assert json.loads(chain.read_text()) == post_to_dict(post)
 
 
+def _seal(manifest, store, out, delay_iters="7"):
+    return main([
+        "seal", str(manifest), "--store-dir", str(store), "--out-dir", str(out),
+        "--node-tag", "miner-1", "--salt", "cd" * 32, "--delay-iters", delay_iters,
+    ])
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("seal started a process pool")
+
+
+class TestPooledSeal:
+    """seal splits the blocks into one contiguous range per CPU, seals each
+    range in a worker process, and keeps only the leaf digests."""
+
+    @pytest.mark.parametrize("k", [1, 3, 33])
+    def test_replica_equals_a_serial_seal(self, k, tmp_path, monkeypatch):
+        # Four ranges: 33 blocks split 8/8/8/9, 3 blocks one each, 1 block in-process.
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+        if k == 1:
+            monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+        src = tmp_path / "data.bin"
+        src.write_bytes(random.Random(k).randbytes(64 * k - 5))
+        store, replica = tmp_path / "store", tmp_path / "replica"
+        assert main(["store", str(src), "--out-dir", str(store), "--block-size", "64", "--file-id", "f0"]) == 0
+        assert _seal(store / "f0.manifest.json", store, replica) == 0
+        assert multiprocessing.active_children() == []
+
+        blocks = [Block(i, (store / f"f0.block{i}").read_bytes()) for i in range(k)]
+        expected = seal_blocks(blocks, SealParams(delay_iters=7, node_tag=b"miner-1", salt=bytes.fromhex("cd" * 32)))
+        assert [(replica / f"f0.sealed{i}").read_bytes() for i in range(k)] == list(expected)
+        tree = sealed_tree(expected)
+        assert (replica / "f0.sealed.tree").read_bytes() == b"".join(d for level in tree.levels for d in level)
+        assert json.loads((replica / "f0.replica.json").read_text())["replica_root_hex"] == tree.root.hex()
+        assert sorted(p.name for p in replica.iterdir()) == sorted(
+            ["f0.replica.json", "f0.sealed.tree"] + [f"f0.sealed{i}" for i in range(k)])
+
+    def test_ranges_give_the_same_leaves_as_one_job(self, stored_file, tmp_path):
+        _, _, store, _ = stored_file
+        params = SealParams(delay_iters=3, node_tag=b"n", salt=bytes(32))
+        whole, parts = tmp_path / "whole", tmp_path / "parts"
+        whole.mkdir()
+        parts.mkdir()
+        leaves = cli._seal_range(str(store / "f0.block"), str(whole / "f0.sealed"), params, 0, 32)
+        pieces = [cli._seal_range(str(store / "f0.block"), str(parts / "f0.sealed"), params, lo, hi)
+                  for lo, hi in split_ranges(32, 5)]
+        assert [d for piece in pieces for d in piece] == leaves
+        assert len(leaves) == 32 and all(len(d) == 32 for d in leaves)
+        assert sorted(p.read_bytes() for p in whole.iterdir()) == sorted(p.read_bytes() for p in parts.iterdir())
+
+    def test_missing_block_is_refused_before_any_write(self, stored_file, tmp_path, capsys, monkeypatch):
+        _, _, store, manifest = stored_file
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", _no_pool)
+        (store / "f0.block17").unlink()
+        capsys.readouterr()
+        assert _seal(manifest, store, tmp_path / "replica") == 2
+        assert capsys.readouterr().err == "error: store is missing 1 of 32 blocks\n"
+        assert not (tmp_path / "replica").exists()
+
+    def test_worker_io_error_is_usage_error_after_the_pool_stops(self, stored_file, tmp_path, capsys, monkeypatch):
+        _, _, store, manifest = stored_file
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
+        replica = tmp_path / "replica"
+        (replica / "f0.sealed20").mkdir(parents=True)  # the worker cannot open it for writing
+        capsys.readouterr()
+        _assert_one_line_usage_error(_seal(manifest, store, replica), capsys)
+        assert multiprocessing.active_children() == []
+        assert not (replica / "f0.replica.json").exists() and not (replica / "f0.sealed.tree").exists()
+
+
 class TestSealAndPost:
 
     def test_seal_writes_replica(self, sealed):
@@ -431,6 +502,44 @@ class TestShare:
         assert not (tmp_path / "x.bin").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("params", [3, 5]),
+    ("params.threshold", "3"),
+    ("params.share_count", 5.0),
+    ("params.field_modulus", 2 ** 61 - 1),
+    ("x", "1"),
+    ("x", True),
+    ("original_length", "1000"),
+    ("original_length", -1),
+    ("original_length", 5000),
+    ("original_length", 999 - 7),
+    ("y_values", "1 2 3"),
+    ("y_values[0]", 1),
+    ("y_values[0]", "1e3"),
+    ("y_values[0]", " 12"),
+    ("y_values[0]", ""),
+    ("y_values[0]", "\u0663"),  # ARABIC-INDIC DIGIT THREE: int() takes it, a share file must not
+])
+def test_mistyped_share_file_is_usage_error(field, value, tmp_path, capsys):
+    src = tmp_path / "s.bin"
+    src.write_bytes(random.Random(4).randbytes(1000))
+    out_dir = tmp_path / "shares"
+    assert main(["share", "split", str(src), "--threshold", "3", "--shares", "5",
+                 "--seed", "ee" * 32, "--out-dir", str(out_dir)]) == 0
+    paths = [out_dir / f"s.bin.share{x}.json" for x in (1, 2, 3)]
+    doc = json.loads(paths[1].read_text())
+    if field.startswith("params."):
+        doc["params"][field.split(".")[1]] = value
+    elif field == "y_values[0]":  # one bad value in an otherwise valid list
+        doc["y_values"][0] = value
+    else:
+        doc[field] = value
+    paths[1].write_text(json.dumps(doc))
+    capsys.readouterr()
+    _assert_one_line_usage_error(main(["share", "join", *map(str, paths), "--out", str(tmp_path / "x.bin")]), capsys)
+    assert not (tmp_path / "x.bin").exists()
+
+
 class TestExperimentCommand:
     def _config_file(self, tmp_path, trials=200):
         cfg = {
@@ -491,6 +600,33 @@ class TestExperimentCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert main(["experiment", str(cfg), "--workers", "8", "--json"]) == 0
         assert seen == [1, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("path, value", [
+        (("behaviors", 1, "drop_fraction"), "a"),
+        (("rng_seed_hex",), "00"),
+        (("rng_seed_hex",), "77" * 33),
+        (("rng_seed_hex",), 7),
+        (("k",), "64"),
+        (("trials",), 2.0),
+        (("behaviors",), {"type": "honest"}),
+        (("behaviors", 0), "honest"),
+        (("behaviors", 0, "type"), ["honest"]),
+        (("behaviors", 1, "mode"), 1),
+        (("seal", "d"), "100"),
+        (("seal", "t_max"), 1.5),
+        (("coding",), {"k_data": "32", "n_total": 64}),
+        (("post_length",), None),
+    ])
+    def test_mistyped_config_is_usage_error(self, path, value, tmp_path, capsys):
+        cfg = self._config_file(tmp_path, trials=1)
+        doc = json.loads(cfg.read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg.write_text(json.dumps(doc))
+        capsys.readouterr()
+        _assert_one_line_usage_error(main(["experiment", str(cfg)]), capsys)
 
     def test_cost_model_env_override(self, tmp_path, capsys, monkeypatch):
         # t_max defaults to 10 * k' * block_read_cost, so the override shows up.

@@ -16,7 +16,9 @@ from porstore.merkle import (
     expand_bytes,
     hash_bytes,
     path_length,
+    leaf_digest,
     prove_leaf,
+    tree_over,
     verify_leaf,
 )
 
@@ -90,6 +92,14 @@ class TestBuildTree:
     def test_deterministic_across_builds(self):
         blocks = _blocks(9, seed=42)
         assert build_tree(blocks).root == build_tree(blocks).root
+
+
+def test_tree_over_leaf_digests_equals_build_tree():
+    for n in range(1, 71):
+        blocks = _blocks(n, seed=n)
+        assert tree_over([leaf_digest(b) for b in blocks]) == build_tree(blocks)
+    with pytest.raises(EmptyInput):
+        tree_over([])
 
 
 class TestProveLeaf:
