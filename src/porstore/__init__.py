@@ -29,13 +29,14 @@ from .errors import (
     RaggedInput,
 )
 from .merkle import Block, Digest, MerklePath, MerkleTree, build_tree, hash_bytes, prove_leaf, verify_leaf
-from .porep import PoRepProof, Replica, SealParams, keystream, porep_respond, porep_verify, seal_file, unseal_block
+from .porep import PoRepProof, SealParams, keystream, porep_respond, porep_verify, seal_blocks, unseal_block
 from .pos import (
     CodeParams,
     FileManifest,
     NonceChallengeSet,
     SamplingChallenge,
     SamplingResponse,
+    Verdict,
     build_manifest,
     derive_sampling_challenge,
     prepare_nonce_challenges,

@@ -204,7 +204,7 @@ def cmd_audit(args) -> int:
     tree = store.read_tree(manifest.k)
     challenge = derive_sampling_challenge(seed, args.epoch, manifest.k, args.k_prime)
     response = respond_sampling(store, tree, challenge)
-    ok = verify_sampling(manifest, challenge, response)
+    verdict = verify_sampling(manifest, challenge, response)
 
     transcript_dir = args.transcript_dir or args.store_dir
     os.makedirs(transcript_dir, exist_ok=True)
@@ -214,7 +214,8 @@ def cmd_audit(args) -> int:
     _write_json(response_path, response_to_dict(response))
 
     payload = {
-        "verdict": "accept" if ok else "reject",
+        "verdict": "accept" if verdict else "reject",
+        "reason": verdict.reason,
         "seed_hex": seed.hex(),
         "epoch": args.epoch,
         "indices": list(challenge.indices),
@@ -224,9 +225,9 @@ def cmd_audit(args) -> int:
     _emit(payload, args.json, [
         f"challenge seed {seed.hex()} epoch {args.epoch}",
         f"indices {list(challenge.indices)}",
-        f"verdict: {'ACCEPT' if ok else 'REJECT'}",
+        f"verdict: {verdict}",
     ])
-    return EXIT_OK if ok else EXIT_REJECT
+    return EXIT_OK if verdict else EXIT_REJECT
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +325,15 @@ def cmd_post_verify(args) -> int:
     replica_root = _replica_root(args.replica_manifest)
     post = post_from_dict(_read_json(args.transcript))
     cost = _cost_model()
-    k_prime = args.k_prime or (len(post.proofs[0].challenge.indices) if post.proofs else DEFAULT_K_PRIME)
+    transcript_k_prime = len(post.proofs[0].challenge.indices) if post.proofs else DEFAULT_K_PRIME
+    k_prime = args.k_prime if args.k_prime is not None else transcript_k_prime  # verify_post refuses 0
     t_max = args.t_max if args.t_max is not None else default_t_max(k_prime, cost)
     policy = TimingPolicy(t_max=t_max, k_prime=k_prime, expected_cost=cost if args.strict else None)
-    ok = verify_post(manifest, replica_root, post, policy)
-    payload = {"verdict": "accept" if ok else "reject", "t_max": t_max, "k_prime": k_prime, "strict": args.strict}
-    _emit(payload, args.json, [f"verdict: {'ACCEPT' if ok else 'REJECT'} (t_max={t_max}, strict={args.strict})"])
-    return EXIT_OK if ok else EXIT_REJECT
+    verdict = verify_post(manifest, replica_root, post, policy)
+    payload = {"verdict": "accept" if verdict else "reject", "reason": verdict.reason,
+               "t_max": t_max, "k_prime": k_prime, "strict": args.strict}
+    _emit(payload, args.json, [f"verdict: {verdict} (t_max={t_max}, strict={args.strict})"])
+    return EXIT_OK if verdict else EXIT_REJECT
 
 
 def cmd_post_stats(args) -> int:

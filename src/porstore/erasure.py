@@ -65,17 +65,6 @@ class EncodedBlocks:
     shards: tuple[tuple[int, bytes], ...]
 
 
-def _symbol_count(block_len: int) -> int:
-    return (8 * block_len + SYMBOL_BITS - 1) // SYMBOL_BITS
-
-
-def shard_byte_length(params: CodeParams, block_len: int, index: int) -> int:
-    """Serialized size of shard `index` for data blocks of block_len bytes."""
-    if index < params.k_data:
-        return block_len
-    return PARITY_SYMBOL_BYTES * _symbol_count(block_len)
-
-
 def _slots(data: bytes) -> array:
     """8-byte little-endian slots as an array of unsigned 64-bit ints."""
     slots = array("Q", data)
@@ -110,10 +99,6 @@ def _parity_slot_bytes(data: bytes) -> bytes:
     if raw and max(_slots(raw)) >= CodeParams.field_modulus:
         raise MalformedInput(f"parity shard holds a symbol >= {CodeParams.field_modulus}")
     return bytes(raw)
-
-
-def parity_from_bytes(data: bytes) -> list[int]:
-    return _slots(_parity_slot_bytes(data)).tolist()
 
 
 def _combine(rows: list[list[int]], columns: list[bytes]) -> list[list[int]]:
@@ -173,7 +158,7 @@ def decode(shards: list[tuple[int, bytes]], params: CodeParams, block_len: int |
                 raise RaggedInput("data shard length disagrees with block_len")
     if block_len is None:
         raise InvalidParams("block_len required when no data shard is present")
-    sym_count = _symbol_count(block_len)
+    sym_count = (8 * block_len + SYMBOL_BITS - 1) // SYMBOL_BITS
 
     chosen = sorted(seen)[:k]
     columns = []

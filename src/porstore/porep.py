@@ -9,6 +9,7 @@ verifier rejects proofs whose simulated generation time exceeds the
 policy: a prover that kept only raw data (generation attack), one replica
 for many identities (Sybil), or no data at all (outsourcing) must pay the
 reseal or fetch cost inside the challenge window and misses the deadline.
+A reject's Verdict names the failed check: timing, then sampling, then chain.
 
 This XOR/hash-chain seal is a simulation-grade stand-in for a verifiable
 delay encoding, not a production one.
@@ -23,9 +24,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .costs import CostModel, SimClock, TimingPolicy
 from .encoding import le64
-from .errors import EmptyInput, InvalidParams
+from .errors import InvalidParams
 from .merkle import Block, Digest, MerkleTree, build_tree, expand_bytes, hash_bytes, path_length
-from .pos import FileManifest, SamplingChallenge, SamplingResponse, respond_sampling, verify_sampling
+from .pos import ACCEPT, REJECT_CHAIN, REJECT_SAMPLING, REJECT_TIMING, FileManifest, SamplingChallenge
+from .pos import SamplingResponse, Verdict, respond_sampling, verify_sampling
 
 DEFAULT_DELAY_ITERS = 10_000
 
@@ -41,13 +43,6 @@ class SealParams:
             raise InvalidParams("delay_iters must be >= 1")
         if not self.node_tag:
             raise InvalidParams("node_tag must be non-empty")
-
-
-@dataclass(frozen=True)
-class Replica:
-    params: SealParams
-    sealed_blocks: tuple[bytes, ...]
-    replica_root: Digest
 
 
 @dataclass(frozen=True)
@@ -108,18 +103,6 @@ def sealed_tree(sealed_blocks: Sequence[bytes]) -> MerkleTree:
     return build_tree([Block(index=i, data=d) for i, d in enumerate(sealed_blocks)])
 
 
-def seal_file(blocks: list[Block], params: SealParams) -> Replica:
-    """Seal every block and commit to the sealed set."""
-    if not blocks:
-        raise EmptyInput("cannot seal an empty file")
-    sealed = seal_blocks(blocks, params)
-    return Replica(params=params, sealed_blocks=sealed, replica_root=sealed_tree(sealed).root)
-
-
-def replica_tree(replica: Replica) -> MerkleTree:
-    return sealed_tree(replica.sealed_blocks)
-
-
 def honest_response_cost(k: int, indices: tuple[int, ...], cost: CostModel) -> int:
     """Simulated cost of serving stored sealed blocks with their paths."""
     return sum(cost.block_read_cost + path_length(k, i) * cost.hash_cost for i in indices)
@@ -145,20 +128,31 @@ def porep_respond(
     return respond_timed(blocks, tree, challenge, clock, units)
 
 
-def porep_verify(manifest: FileManifest, replica_root: Digest, proof: PoRepProof, policy: TimingPolicy) -> bool:
+def _check_links(manifest: FileManifest, root: Digest, links: Sequence[PoRepProof], policy: TimingPolicy) -> Verdict:
+    """Every link's own checks, each predicate once, in the order a report
+    ranks a failure: any link over t_max is "timing"; else any link whose
+    blocks fail against the replica root is "sampling"; else a link that
+    ends before it starts, answers other than k' indices, or under a strict
+    policy took other than the honest cost, is "chain"."""
+    if any(p.finished_at - p.started_at > policy.t_max for p in links):
+        return REJECT_TIMING
+    replica = replace(manifest, merkle_root=root)
+    if not all(verify_sampling(replica, p.challenge, p.response) for p in links):
+        return REJECT_SAMPLING
+    cost = policy.expected_cost
+    for p in links:
+        elapsed = p.finished_at - p.started_at
+        if elapsed < 0 or len(p.challenge.indices) != policy.k_prime:
+            return REJECT_CHAIN
+        if cost is not None and elapsed != honest_response_cost(manifest.k, p.challenge.indices, cost):
+            return REJECT_CHAIN
+    return ACCEPT
+
+
+def porep_verify(manifest: FileManifest, replica_root: Digest, proof: PoRepProof, policy: TimingPolicy) -> Verdict:
     """Accept iff the sampled proof checks out against the replica root and
-    the recorded generation time fits the policy."""
-    if proof.finished_at < proof.started_at:
-        return False
-    if len(proof.challenge.indices) != policy.k_prime:
-        return False
-    elapsed = proof.finished_at - proof.started_at
-    if elapsed > policy.t_max:
-        return False
-    if policy.expected_cost is not None:
-        if elapsed != honest_response_cost(manifest.k, proof.challenge.indices, policy.expected_cost):
-            return False
-    return verify_sampling(replace(manifest, merkle_root=replica_root), proof.challenge, proof.response)
+    the recorded generation time fits the policy; a reject names its check."""
+    return _check_links(manifest, replica_root, (proof,), policy)
 
 
 # ---------------------------------------------------------------------------

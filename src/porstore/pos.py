@@ -166,6 +166,27 @@ def verify_nonce(challenge_set: NonceChallengeSet, index: int, answer: Digest) -
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Verdict:
+    """A verifier's answer, falsy on reject, where `reason` names the failed
+    check: "timing", "sampling" or "chain".  Verifiers return only the four
+    constants below, so no audit allocates one."""
+
+    reason: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return self.reason is None
+
+    def __str__(self) -> str:
+        return "ACCEPT" if self.reason is None else f"REJECT, failed check: {self.reason}"
+
+
+ACCEPT = Verdict()
+REJECT_TIMING = Verdict("timing")
+REJECT_SAMPLING = Verdict("sampling")
+REJECT_CHAIN = Verdict("chain")
+
+
+@dataclass(frozen=True)
 class SamplingChallenge:
     seed: bytes
     epoch: int
@@ -213,14 +234,14 @@ def respond_sampling(blocks: Mapping[int, bytes], tree: MerkleTree, challenge: S
     return SamplingResponse(items=tuple(items))
 
 
-def verify_sampling(manifest: FileManifest, challenge: SamplingChallenge, response: SamplingResponse) -> bool:
+def verify_sampling(manifest: FileManifest, challenge: SamplingChallenge, response: SamplingResponse) -> Verdict:
     """Accept iff every returned block proves membership at its challenged index."""
     if len(response.items) != len(challenge.indices):
-        return False
+        return REJECT_SAMPLING
     for idx, (block, path) in zip(challenge.indices, response.items):
         if block.index != idx or not verify_leaf(manifest.merkle_root, manifest.k, block, path):
-            return False
-    return True
+            return REJECT_SAMPLING
+    return ACCEPT
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Challenge i is seeded by H(c0 || i_le64 || encode(proof_{i-1})), so proof i
 cannot exist before proof i-1 does; the chain forces strictly sequential
 generation and therefore witnesses that the replica was held across the
-whole interval, not just at one instant.  Verification replays the seed
-chain and re-checks every link offline from the transcript alone.
+whole interval, not just at one instant.  Verification checks every link
+offline from the transcript alone, then replays the seed chain; a reject
+names the failed check, timing before sampling before chain.
 
 The naive chain trades proof size for simplicity: the transcript carries
 every sampled block of every link.  `transcript_stats` measures that cost.
@@ -20,15 +21,18 @@ from .encoding import le64
 from .errors import InvalidParams, expect
 from .merkle import Digest, MerkleTree, hash_bytes
 from .pos import (
+    ACCEPT,
     DEFAULT_K_PRIME,
+    REJECT_CHAIN,
     FileManifest,
     SamplingChallenge,
+    Verdict,
     challenge_from_dict,
     derive_sampling_challenge,
     response_from_dict,
     response_to_dict,
 )
-from .porep import PoRepProof, porep_respond, porep_verify
+from .porep import PoRepProof, _check_links, porep_respond
 
 DEFAULT_CHAIN_LENGTH = 12
 
@@ -100,29 +104,31 @@ def generate_post(
     )
 
 
-def verify_post(manifest: FileManifest, replica_root: Digest, post: PoStProof, policy: TimingPolicy) -> bool:
-    """Replay the seed chain and re-verify every link against the policy.
-    A strict policy (one with expected_cost) also requires each link to
-    start the instant its predecessor ends."""
+def verify_post(manifest: FileManifest, replica_root: Digest, post: PoStProof, policy: TimingPolicy) -> Verdict:
+    """Judge every link by porep's checks (timing, then sampling, then
+    chain), then replay the seed chain: a link whose seed, epoch or indices
+    differ, or that starts before its predecessor ends (under a strict
+    policy: at any other instant), is "chain".  A k' outside [1, k] raises."""
+    if not 1 <= policy.k_prime <= manifest.k:
+        raise InvalidParams(f"need 1 <= k_prime <= k, got k={manifest.k} k_prime={policy.k_prime}")
     if not post.proofs:
-        return False
+        return REJECT_CHAIN
+    verdict = _check_links(manifest, replica_root, post.proofs, policy)
+    if not verdict:
+        return verdict
     previous = None
     for i, proof in enumerate(post.proofs):
         seed = chain_seed(post.initial_challenge, i, previous)
         if proof.challenge.seed != seed or proof.challenge.epoch != i:
-            return False
+            return REJECT_CHAIN
         derived = derive_sampling_challenge(seed, i, manifest.k, policy.k_prime)
         if proof.challenge.indices != derived.indices:
-            return False
-        if previous is not None:
-            if proof.started_at < previous.finished_at:
-                return False
-            if policy.expected_cost is not None and proof.started_at != previous.finished_at:
-                return False
-        if not porep_verify(manifest, replica_root, proof, policy):
-            return False
+            return REJECT_CHAIN
+        gap = proof.started_at - previous.finished_at if previous is not None else 0
+        if gap < 0 or (gap and policy.expected_cost is not None):  # links never overlap; strict ones abut
+            return REJECT_CHAIN
         previous = proof
-    return True
+    return ACCEPT
 
 
 # ---------------------------------------------------------------------------

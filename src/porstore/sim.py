@@ -9,8 +9,9 @@ behavior, and the verifier's verdicts land in the audit log.
 Behaviors are strategy objects: each supplies a label, an identity count,
 a view of the node's block store, and the simulated time it charges per
 response.  The simulator answers every challenge through porep's timed
-response and chains PoSt links through post's chain loop, so the code
-behind the detection reports is the code the CLI runs.
+response, chains PoSt links through post's chain loop, and judges each
+audit with one call of the CLI's verifier, whose verdict names a reject's
+reason: the code behind the detection reports is the code the CLI runs.
 
 Attack behaviors and how each protocol sees them:
 
@@ -45,14 +46,14 @@ import io
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from random import Random
 from typing import Callable, ClassVar, Mapping, Optional
 
 from .costs import CostModel, SimClock, TimingPolicy, default_t_max
 from .encoding import le64
 from .errors import ConfigError, InvalidParams, expect
-from .merkle import Block, Digest, MerkleTree, expand_bytes, hash_bytes, path_length
+from .merkle import Block, MerkleTree, expand_bytes, hash_bytes, path_length
 from .pos import CodeParams, FileManifest, SamplingChallenge, build_manifest, derive_sampling_challenge, verify_sampling
 from .porep import (
     DEFAULT_DELAY_ITERS,
@@ -65,7 +66,7 @@ from .porep import (
     sealed_tree,
     split_ranges,
 )
-from .post import DEFAULT_CHAIN_LENGTH, PoStProof, run_chain, verify_post
+from .post import DEFAULT_CHAIN_LENGTH, run_chain, verify_post
 
 PROTOCOLS = ("pos", "porep", "post")
 
@@ -382,15 +383,15 @@ class SimWorld:
         records = []
         for node in self.nodes.values():
             for identity in range(len(node.stores)):
-                ok, reason, elapsed, size = audit(node, identity, epoch)
+                verdict, elapsed, size = audit(node, identity, epoch)
                 records.append(AuditRecord(
                     epoch=epoch,
                     node_id=node.node_id,
                     file_id=self.manifest.file_id,
                     protocol=protocol,
-                    verdict="accept" if ok else "reject",
+                    verdict="accept" if verdict else "reject",
                     elapsed=elapsed,
-                    reject_reason=None if ok else reason,
+                    reject_reason=verdict.reason,
                     identity=identity,
                     proof_bytes=size,
                 ))
@@ -409,21 +410,19 @@ class SimWorld:
         seed = hash_bytes(node.trees[identity].root + le64(epoch))
         return derive_sampling_challenge(seed, epoch, self.manifest.k, self.config.k_prime)
 
-    # Each audit returns (ok, reject reason, elapsed, proof bytes).
+    # Each audit calls one verifier once and returns (verdict, elapsed, proof bytes).
 
     def _audit_pos(self, node: NodeState, identity: int, epoch: int) -> tuple:
         challenge = self._challenge(node, identity, epoch)
         # PoS has no seal, so nothing is ever resealed.
         proof = self._respond(node, identity, challenge, resealing=False)
-        ok = verify_sampling(self.manifest, challenge, proof.response)
-        return ok, "sampling", proof.finished_at - proof.started_at, _response_bytes(challenge, proof.response)
+        verdict = verify_sampling(self.manifest, challenge, proof.response)
+        return verdict, proof.finished_at - proof.started_at, _response_bytes(challenge, proof.response)
 
     def _audit_porep(self, node: NodeState, identity: int, epoch: int) -> tuple:
         proof = self._respond(node, identity, self._challenge(node, identity, epoch), resealing=True)
-        policy = self._policy(strict=False)
-        ok = porep_verify(self.manifest, node.trees[identity].root, proof, policy)
-        elapsed = proof.finished_at - proof.started_at
-        return ok, "timing" if elapsed > policy.t_max else "sampling", elapsed, len(proof.encoded)
+        verdict = porep_verify(self.manifest, node.trees[identity].root, proof, self._policy(strict=False))
+        return verdict, proof.finished_at - proof.started_at, len(proof.encoded)
 
     def _audit_post(self, node: NodeState, identity: int, epoch: int) -> tuple:
         root = node.trees[identity].root
@@ -433,18 +432,8 @@ class SimWorld:
             hash_bytes(root + le64(epoch)), self.config.post_length, self.manifest.k, self.config.k_prime,
             lambda i, challenge: self._respond(node, identity, challenge, resealing=i > 0),
         )
-        policy = self._policy(strict=True)
-        ok = verify_post(self.manifest, root, post, policy)
-        reason = None if ok else self._post_reject_reason(root, post, policy)
-        return ok, reason, post.total_cost, sum(len(p.encoded) for p in post.proofs)
-
-    def _post_reject_reason(self, replica_root: Digest, post: PoStProof, policy: TimingPolicy) -> str:
-        if any(p.finished_at - p.started_at > policy.t_max for p in post.proofs):
-            return "timing"
-        replica_manifest = replace(self.manifest, merkle_root=replica_root)
-        if all(verify_sampling(replica_manifest, p.challenge, p.response) for p in post.proofs):
-            return "chain"
-        return "sampling"
+        verdict = verify_post(self.manifest, root, post, self._policy(strict=True))
+        return verdict, post.total_cost, sum(len(p.encoded) for p in post.proofs)
 
 
 def _file_blocks(cfg: ExperimentConfig) -> tuple[FileManifest, list[Block], MerkleTree]:

@@ -16,7 +16,7 @@ from porstore.encoding import bytes_to_symbols
 from porstore.erasure import decode, encode
 from porstore.errors import InsufficientShards, NonceReplay
 from porstore.merkle import Block
-from porstore.porep import SealParams, honest_response_cost, porep_respond, porep_verify, replica_tree, seal_file
+from porstore.porep import SealParams, honest_response_cost, porep_respond, porep_verify, seal_blocks, sealed_tree
 from porstore.pos import (
     CodeParams,
     build_manifest,
@@ -120,13 +120,13 @@ def test_criterion_4_porep_timing_soundness():
 def test_criterion_5_post_chain_integrity():
     k, block_size, k_prime, length = 32, 64, 10, 12
     manifest, blocks, _ = build_manifest("f", bytes(range(256)) * (k * block_size // 256), block_size)
-    replica = seal_file(blocks, SealParams(delay_iters=10_000, node_tag=b"post-acceptance", salt=b"\x61" * 32))
-    store, tree = dict(enumerate(replica.sealed_blocks)), replica_tree(replica)
+    sealed = seal_blocks(blocks, SealParams(delay_iters=10_000, node_tag=b"post-acceptance", salt=b"\x61" * 32))
+    store, tree = dict(enumerate(sealed)), sealed_tree(sealed)
     policy = TimingPolicy(t_max=default_t_max(k_prime, COST), k_prime=k_prime, expected_cost=COST)
 
     # (a) honest chain verifies
     post = generate_post(store, tree, b"\x62" * 32, length, SimClock(), COST, k_prime=k_prime)
-    assert verify_post(manifest, replica.replica_root, post, policy)
+    assert verify_post(manifest, tree.root, post, policy)
 
     # (b) 12 proofs x 20 sampled byte positions, all rejected
     rng = random.Random(5)
@@ -147,7 +147,7 @@ def test_criterion_5_post_chain_integrity():
             positions.add(rng.randrange(total))
         for pos in sorted(positions)[:20]:
             mutated = mutate_proof_byte(post, proof_idx, pos)
-            assert not verify_post(manifest, replica.replica_root, mutated, policy), (proof_idx, pos)
+            assert not verify_post(manifest, tree.root, mutated, policy), (proof_idx, pos)
             mutations += 1
     assert mutations == length * 20
 
@@ -241,11 +241,12 @@ def test_criterion_7_completeness_and_soundness_suite():
     with pytest.raises(NonceReplay):
         verify_nonce(nonce_set, 0, respond_nonce(file, nonce_set.entries[0].nonce))
 
-    replica = seal_file(blocks, SealParams(delay_iters=100, node_tag=b"c7", salt=b"\x66" * 32))
-    proof = porep_respond(dict(enumerate(replica.sealed_blocks)), replica_tree(replica), ch, SimClock(), COST)
+    sealed = seal_blocks(blocks, SealParams(delay_iters=100, node_tag=b"c7", salt=b"\x66" * 32))
+    replica_tree = sealed_tree(sealed)
+    proof = porep_respond(dict(enumerate(sealed)), replica_tree, ch, SimClock(), COST)
     policy = TimingPolicy(t_max=default_t_max(8, COST), k_prime=8)
-    assert porep_verify(manifest, replica.replica_root, proof, policy)
-    wrong_root = bytes([replica.replica_root[0] ^ 1]) + replica.replica_root[1:]
+    assert porep_verify(manifest, replica_tree.root, proof, policy)
+    wrong_root = bytes([replica_tree.root[0] ^ 1]) + replica_tree.root[1:]
     assert not porep_verify(manifest, wrong_root, proof, policy)
     _passed(7, "honest acceptance rate 1.0 on all grids; every tamper mutation rejected")
 

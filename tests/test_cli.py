@@ -1,3 +1,4 @@
+import base64
 import json
 import multiprocessing
 import os
@@ -69,6 +70,18 @@ class TestStoreAndAudit:
         raw[0] ^= 0xFF
         victim.write_bytes(bytes(raw))
         assert _audit(manifest_path, store) == 1
+
+    def test_audit_names_the_failed_check(self, stored_file, capsys):
+        _, _, store, manifest_path = stored_file
+        assert _audit(manifest_path, store, extra=("--json",)) == 0
+        assert json.loads(capsys.readouterr().out)["reason"] is None
+        manifest = FileManifest.from_dict(json.loads(manifest_path.read_text()))
+        ch = derive_sampling_challenge(bytes.fromhex(SEED_HEX), 0, manifest.k, 8)
+        (store / f"f0.block{ch.indices[0]}").write_bytes(bytes(512))
+        assert _audit(manifest_path, store, extra=("--json",)) == 1
+        assert json.loads(capsys.readouterr().out)["reason"] == "sampling"
+        assert _audit(manifest_path, store) == 1
+        assert "verdict: REJECT, failed check: sampling\n" in capsys.readouterr().out
 
     def test_missing_manifest_is_usage_error(self, tmp_path):
         assert main(["audit", str(tmp_path / "nope.json"), "--store-dir", str(tmp_path)]) == 2
@@ -386,6 +399,50 @@ class TestSealAndPost:
             "--transcript", str(transcript),
         ])
         assert rc == 1
+
+    @pytest.mark.parametrize("reason, flags, tamper", [
+        (None, (), None),
+        ("timing", ("--t-max", "1"), None),
+        ("sampling", (), "block"),
+        ("chain", (), "c0"),
+    ])
+    def test_post_verify_names_the_failed_check(self, sealed, tmp_path, capsys, reason, flags, tamper):
+        store, manifest, replica_dir, replica_manifest = sealed
+        transcript = tmp_path / "chain.json"
+        assert _post_gen(manifest, replica_dir, transcript) == 0
+        doc = json.loads(transcript.read_text())
+        if tamper == "block":  # one flipped byte of one sampled block
+            item = doc["proofs"][1]["items"][0]
+            data = bytearray(base64.b64decode(item["block_b64"]))
+            data[0] ^= 1
+            item["block_b64"] = base64.b64encode(data).decode("ascii")
+        elif tamper == "c0":
+            doc["c0_hex"] = "cd" * 32
+        transcript.write_text(json.dumps(doc))
+        verify = [
+            "post", "verify", "--manifest", str(manifest), "--replica-manifest", str(replica_manifest),
+            "--transcript", str(transcript), "--strict", "--k-prime", "6", *flags,
+        ]
+        capsys.readouterr()
+        assert main([*verify, "--json"]) == (0 if reason is None else 1)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reason"] == reason
+        assert main(verify) == (0 if reason is None else 1)
+        line = capsys.readouterr().out
+        assert line.startswith("verdict: ACCEPT (" if reason is None else f"verdict: REJECT, failed check: {reason} (")
+
+    @pytest.mark.parametrize("k_prime", ["0", "999"])
+    def test_post_verify_k_prime_outside_one_to_k_is_usage_error(self, sealed, tmp_path, capsys, k_prime):
+        # 0 is not "unset": it must not fall back to the transcript's k'.  And k' > k
+        # is refused before any link is judged, so it cannot come out as a rejection.
+        store, manifest, replica_dir, replica_manifest = sealed
+        transcript = tmp_path / "chain.json"
+        assert _post_gen(manifest, replica_dir, transcript) == 0
+        capsys.readouterr()
+        _assert_one_line_usage_error(main([
+            "post", "verify", "--manifest", str(manifest), "--replica-manifest", str(replica_manifest),
+            "--transcript", str(transcript), "--strict", "--k-prime", k_prime,
+        ]), capsys)
 
     @pytest.mark.parametrize("rewrite", [
         lambda h: {"digest_hex": h, "side": "left"},  # the older format, with a side per sibling

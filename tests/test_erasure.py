@@ -6,12 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from porstore.encoding import bytes_to_symbols, symbols_to_bytes
-from porstore.erasure import encode, decode, parity_from_bytes
+from porstore.erasure import _parity_slot_bytes, _slots, decode, encode
 from porstore.errors import DuplicateShard, InsufficientShards, InvalidParams, MalformedInput, RaggedInput
 from porstore.field import inv_mod, lagrange_at
 from porstore.erasure import CodeParams
 
 P = 65537
+
+
+def _parity(shard):
+    """A parity shard's symbols, widened and range-checked as decode reads them."""
+    return _slots(_parity_slot_bytes(shard)).tolist()
 
 
 def _random_blocks(k, size, seed=0):
@@ -33,7 +38,7 @@ class TestEncode:
         data_syms = bytes_to_symbols(block, 15)
         assert enc.shards[0][1] == block
         for idx, shard in enc.shards[1:]:
-            assert parity_from_bytes(shard) == data_syms
+            assert _parity(shard) == data_syms
             assert decode([(idx, shard)], enc.params, block_len=len(block)) == [block]
 
     def test_line_through_two_points(self):
@@ -42,8 +47,8 @@ class TestEncode:
         enc = encode([a_block, b_block], CodeParams(2, 4))
         a_syms = bytes_to_symbols(a_block, 15)
         b_syms = bytes_to_symbols(b_block, 15)
-        shard3 = parity_from_bytes(enc.shards[2][1])
-        shard4 = parity_from_bytes(enc.shards[3][1])
+        shard3 = _parity(enc.shards[2][1])
+        shard4 = _parity(enc.shards[3][1])
         assert shard3 == [(2 * b - a) % P for a, b in zip(a_syms, b_syms)]
         assert shard4 == [(3 * b - 2 * a) % P for a, b in zip(a_syms, b_syms)]
 
@@ -112,7 +117,7 @@ class TestDecode:
         a = symbols_to_bytes([1], 15, 2)
         b = symbols_to_bytes([0], 15, 2)
         enc = encode([a, b], CodeParams(2, 4))
-        assert 65536 in parity_from_bytes(enc.shards[2][1])
+        assert 65536 in _parity(enc.shards[2][1])
         assert decode([enc.shards[2], enc.shards[3]], enc.params, block_len=2) == [a, b]
 
     def test_parity_slot_above_the_field_is_rejected(self):
@@ -120,10 +125,10 @@ class TestDecode:
         for slot in (P, 0xFFFFFF):
             bad = enc.shards[2][1][:-3] + slot.to_bytes(3, "little")
             with pytest.raises(MalformedInput):
-                parity_from_bytes(bad)
+                _parity(bad)
             with pytest.raises(MalformedInput):
                 decode([(2, bad), enc.shards[3]], enc.params, block_len=64)
-        assert parity_from_bytes((P - 1).to_bytes(3, "little")) == [P - 1]
+        assert _parity((P - 1).to_bytes(3, "little")) == [P - 1]
 
 
 def _shards_digest(shards):

@@ -14,9 +14,9 @@ from porstore.porep import (
     keystream,
     porep_respond,
     porep_verify,
-    replica_tree,
     seal_block,
-    seal_file,
+    seal_blocks,
+    sealed_tree,
     unseal_block,
 )
 from porstore.pos import build_manifest, derive_sampling_challenge
@@ -28,13 +28,12 @@ def _sealed_world(k=16, block_size=64, d=3, tag=b"node-a"):
     manifest, blocks, _ = build_manifest("f", bytes(range(256)) * (k * block_size // 256), block_size)
     assert manifest.k == k
     params = SealParams(delay_iters=d, node_tag=tag, salt=SALT)
-    replica = seal_file(blocks, params)
-    return manifest, blocks, params, replica
+    return manifest, blocks, params, seal_blocks(blocks, params)
 
 
-def _held(replica):
+def _held(sealed):
     """What an honest prover holds: the sealed blocks as a store, and their tree."""
-    return dict(enumerate(replica.sealed_blocks)), replica_tree(replica)
+    return dict(enumerate(sealed)), sealed_tree(sealed)
 
 
 class TestKeystream:
@@ -102,15 +101,15 @@ class TestSealUnseal:
             data = rng.randbytes(32)
             assert unseal_block(seal_block(data, right, i), wrong, i) != data
 
-    def test_seal_file_round_trip(self):
-        _, blocks, params, replica = _sealed_world()
+    def test_seal_blocks_round_trip(self):
+        _, blocks, params, sealed = _sealed_world()
         for b in blocks:
-            assert replica.sealed_blocks[b.index] != b.data
-            assert unseal_block(replica.sealed_blocks[b.index], params, b.index) == b.data
+            assert sealed[b.index] != b.data
+            assert unseal_block(sealed[b.index], params, b.index) == b.data
 
     def test_seal_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            seal_file([], SealParams(1, b"n", SALT))
+            sealed_tree(())
 
     def test_identity_binding_distinct_roots(self):
         # 10^4 distinct tags must give 10^4 distinct replica roots.
@@ -118,24 +117,24 @@ class TestSealUnseal:
         roots = set()
         for i in range(10_000):
             params = SealParams(delay_iters=1, node_tag=b"tag" + le64(i), salt=SALT)
-            roots.add(seal_file(block, params).replica_root)
+            roots.add(sealed_tree(seal_blocks(block, params)).root)
         assert len(roots) == 10_000
 
 
 class TestTimedAudit:
     def test_honest_holder_accepted(self):
-        manifest, _, params, replica = _sealed_world()
+        manifest, _, params, sealed = _sealed_world()
         cost = CostModel()
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x22" * 32, 0, manifest.k, 5)
-        proof = porep_respond(*_held(replica), ch, clock, cost)
+        proof = porep_respond(*_held(sealed), ch, clock, cost)
         policy = TimingPolicy(t_max=default_t_max(5, cost), k_prime=5)
-        assert porep_verify(manifest, replica.replica_root, proof, policy)
+        assert porep_verify(manifest, sealed_tree(sealed).root, proof, policy)
 
     def test_generation_attacker_rejected_on_timing(self):
         # Recomputing the keystream on demand costs k' * d * hash_cost,
         # which is forced over t_max whenever t_max < d * hash_cost.
-        manifest, _, params, replica = _sealed_world()
+        manifest, _, params, sealed = _sealed_world()
         cost = CostModel()
         d = 10_000
         k_prime = 5
@@ -144,46 +143,46 @@ class TestTimedAudit:
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x23" * 32, 0, manifest.k, k_prime)
         started = clock.now
-        honest = porep_respond(*_held(replica), ch, clock, cost)
+        honest = porep_respond(*_held(sealed), ch, clock, cost)
         clock.advance(k_prime * d * cost.hash_cost)  # the reseal penalty
         slow = PoRepProof(challenge=ch, response=honest.response, started_at=started, finished_at=clock.now)
-        assert not porep_verify(manifest, replica.replica_root, slow, policy)
+        assert not porep_verify(manifest, sealed_tree(sealed).root, slow, policy)
 
     def test_valid_timing_substituted_block_rejected(self):
-        manifest, _, _, replica = _sealed_world()
+        manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         clock = SimClock()
         ch = derive_sampling_challenge(b"\x24" * 32, 0, manifest.k, 4)
-        proof = porep_respond(*_held(replica), ch, clock, cost)
+        proof = porep_respond(*_held(sealed), ch, clock, cost)
         block, path = proof.response.items[0]
         swapped = (Block(block.index, b"\x99" * len(block.data)), path)
         bad_response = type(proof.response)(items=(swapped,) + proof.response.items[1:])
         bad = PoRepProof(ch, bad_response, proof.started_at, proof.finished_at)
-        assert not porep_verify(manifest, replica.replica_root, bad, TimingPolicy(default_t_max(4, cost), 4))
+        assert not porep_verify(manifest, sealed_tree(sealed).root, bad, TimingPolicy(default_t_max(4, cost), 4))
 
     def test_wrong_k_prime_rejected(self):
-        manifest, _, _, replica = _sealed_world()
+        manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x25" * 32, 0, manifest.k, 2)
-        proof = porep_respond(*_held(replica), ch, SimClock(), cost)
+        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
         policy = TimingPolicy(t_max=10_000, k_prime=5)
-        assert not porep_verify(manifest, replica.replica_root, proof, policy)
+        assert not porep_verify(manifest, sealed_tree(sealed).root, proof, policy)
 
     def test_exact_cost_policy_binds_elapsed(self):
-        manifest, _, _, replica = _sealed_world()
+        manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x26" * 32, 0, manifest.k, 3)
-        proof = porep_respond(*_held(replica), ch, SimClock(), cost)
+        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
         strict = TimingPolicy(t_max=10_000, k_prime=3, expected_cost=cost)
-        assert porep_verify(manifest, replica.replica_root, proof, strict)
+        assert porep_verify(manifest, sealed_tree(sealed).root, proof, strict)
         nudged = PoRepProof(ch, proof.response, proof.started_at, proof.finished_at + 1)
-        assert not porep_verify(manifest, replica.replica_root, nudged, strict)
+        assert not porep_verify(manifest, sealed_tree(sealed).root, nudged, strict)
 
     def test_timing_separation_inequality_for_defaults(self):
         # honest cost < t_max < single-audit reseal cost, with shipped defaults.
         cost = CostModel()
         k, k_prime, d = 64, 20, 10_000
-        manifest, _, _, replica = _sealed_world(k=k, block_size=64, d=1)
+        manifest, _, _, sealed = _sealed_world(k=k, block_size=64, d=1)
         ch = derive_sampling_challenge(b"\x27" * 32, 0, k, k_prime)
         honest = honest_response_cost(k, ch.indices, cost)
         t_max = default_t_max(k_prime, cost)
@@ -191,9 +190,30 @@ class TestTimedAudit:
         assert honest < t_max < reseal
 
     def test_negative_elapsed_rejected(self):
-        manifest, _, _, replica = _sealed_world()
+        manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x28" * 32, 0, manifest.k, 2)
-        proof = porep_respond(*_held(replica), ch, SimClock(), cost)
+        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
         bad = PoRepProof(ch, proof.response, proof.started_at + 10**6, proof.finished_at)
-        assert not porep_verify(manifest, replica.replica_root, bad, TimingPolicy(default_t_max(2, cost), 2))
+        assert not porep_verify(manifest, sealed_tree(sealed).root, bad, TimingPolicy(default_t_max(2, cost), 2))
+
+    def test_reject_names_the_failed_check(self):
+        manifest, _, _, sealed = _sealed_world()
+        cost = CostModel()
+        ch = derive_sampling_challenge(b"\x29" * 32, 0, manifest.k, 3)
+        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
+        root = sealed_tree(sealed).root
+        strict = TimingPolicy(t_max=default_t_max(3, cost), k_prime=3, expected_cost=cost)
+        block, path = proof.response.items[0]
+        zeroed = (Block(block.index, bytes(len(block.data))), path)
+        swapped = type(proof.response)(items=(zeroed,) + proof.response.items[1:])
+        start, end = proof.started_at, proof.finished_at
+
+        def reason(response, finished_at, policy=strict):
+            return porep_verify(manifest, root, PoRepProof(ch, response, start, finished_at), policy).reason
+
+        assert reason(proof.response, end) is None
+        assert reason(swapped, start + strict.t_max + 1) == "timing"  # content fails too
+        assert reason(swapped, end) == "sampling"
+        assert reason(proof.response, end + 1) == "chain"
+        assert reason(proof.response, end, TimingPolicy(strict.t_max, k_prime=4)) == "chain"

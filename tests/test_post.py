@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from porstore.costs import CostModel, SimClock, TimingPolicy, default_t_max
 from porstore.encoding import le64
 from porstore.errors import InvalidParams
 from porstore.merkle import hash_bytes
-from porstore.porep import SealParams, honest_response_cost, replica_tree, seal_file
+from porstore.porep import SealParams, honest_response_cost, seal_blocks, sealed_tree
 from porstore.pos import build_manifest
 from porstore.post import (
     PoStProof,
@@ -27,8 +28,8 @@ K_PRIME = 4
 
 def _world(k=16, block_size=64, d=3):
     manifest, blocks, _ = build_manifest("f", bytes(range(256)) * (k * block_size // 256), block_size)
-    replica = seal_file(blocks, SealParams(delay_iters=d, node_tag=b"post-node", salt=b"\x32" * 32))
-    return manifest, replica, dict(enumerate(replica.sealed_blocks)), replica_tree(replica)
+    sealed = seal_blocks(blocks, SealParams(delay_iters=d, node_tag=b"post-node", salt=b"\x32" * 32))
+    return manifest, dict(enumerate(sealed)), sealed_tree(sealed)
 
 
 def _strict_policy(cost):
@@ -37,15 +38,15 @@ def _strict_policy(cost):
 
 class TestGeneration:
     def test_single_link_base_case(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 1, SimClock(), cost, k_prime=K_PRIME)
         assert post.length == 1
         assert post.proofs[0].challenge.seed == hash_bytes(C0 + le64(0))
-        assert verify_post(manifest, replica.replica_root, post, _strict_policy(cost))
+        assert verify_post(manifest, tree.root, post, _strict_policy(cost))
 
     def test_chain_linkage_invariant(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 5, SimClock(), cost, k_prime=K_PRIME)
         previous = None
@@ -54,7 +55,7 @@ class TestGeneration:
             previous = proof
 
     def test_sequential_accounting(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
         elapsed = [p.finished_at - p.started_at for p in post.proofs]
@@ -67,7 +68,7 @@ class TestGeneration:
             assert proof.finished_at - proof.started_at == expected
 
     def test_reruns_are_byte_identical(self):
-        _, _, store, tree = _world()
+        _, store, tree = _world()
         cost = CostModel()
         a = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
         b = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
@@ -76,30 +77,30 @@ class TestGeneration:
         assert all(canonical_encode(x) == canonical_encode(y) for x, y in zip(a.proofs, b.proofs))
 
     def test_zero_length_rejected(self):
-        _, _, store, tree = _world()
+        _, store, tree = _world()
         with pytest.raises(InvalidParams):
             generate_post(store, tree, C0, 0, SimClock(), CostModel(), k_prime=K_PRIME)
 
 
 class TestVerification:
     def test_honest_chain_accepts(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 6, SimClock(), cost, k_prime=K_PRIME)
-        assert verify_post(manifest, replica.replica_root, post, _strict_policy(cost))
+        assert verify_post(manifest, tree.root, post, _strict_policy(cost))
 
     def test_foreign_proof_breaks_the_chain(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
         other = generate_post(store, tree, b"\x33" * 32, 3, SimClock(), cost, k_prime=K_PRIME)
         proofs = list(post.proofs)
         proofs[1] = other.proofs[1]
         forged = PoStProof(C0, tuple(proofs))
-        assert not verify_post(manifest, replica.replica_root, forged, _strict_policy(cost))
+        assert not verify_post(manifest, tree.root, forged, _strict_policy(cost))
 
     def test_mutating_any_sampled_byte_rejects(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 4, SimClock(), cost, k_prime=K_PRIME)
         policy = _strict_policy(cost)
@@ -112,27 +113,27 @@ class TestVerification:
             for pos in positions:
                 mutated = mutate_proof_byte(post, proof_idx, pos)
                 assert canonical_encode(mutated.proofs[proof_idx]) != canonical_encode(post.proofs[proof_idx])
-                assert not verify_post(manifest, replica.replica_root, mutated, policy)
+                assert not verify_post(manifest, tree.root, mutated, policy)
 
     def test_nonchained_timestamp_tampering_needs_strict_policy(self):
         # Without strict binding, a one-unit shave off the final proof's
         # elapsed time still passes t_max; the strict policy closes that.
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 2, SimClock(), cost, k_prime=K_PRIME)
         last = canonical_length(post.proofs[1])
         shaved = mutate_proof_byte(post, 1, last - 8)  # finished_at low byte
         lax = TimingPolicy(t_max=default_t_max(K_PRIME, cost), k_prime=K_PRIME)
         strict = _strict_policy(cost)
-        assert not verify_post(manifest, replica.replica_root, shaved, strict)
+        assert not verify_post(manifest, tree.root, shaved, strict)
         # The lax policy's only timestamp constraints are ordering and t_max.
         tampered = shaved.proofs[1]
         if tampered.started_at <= tampered.finished_at <= post.proofs[1].finished_at:
-            assert verify_post(manifest, replica.replica_root, shaved, lax)
+            assert verify_post(manifest, tree.root, shaved, lax)
 
     def test_drop_then_reseal_rejected(self):
         # Link 0 honest, link 1 carries an on-demand reseal penalty.
-        manifest, replica, store, tree = _world(d=3)
+        manifest, store, tree = _world(d=3)
         cost = CostModel()
         d_heavy = 10_000
         clock = SimClock()
@@ -151,27 +152,48 @@ class TestVerification:
             previous = PoRepProof(challenge, honest.response, started, clock.now)
             proofs.append(previous)
         post = PoStProof(C0, tuple(proofs))
-        assert not verify_post(manifest, replica.replica_root, post, _strict_policy(cost))
+        assert not verify_post(manifest, tree.root, post, _strict_policy(cost))
 
     def test_seed_unpredictable_before_previous_proof(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 2, SimClock(), cost, k_prime=K_PRIME)
         perturbed = mutate_proof_byte(post, 0, 8 * K_PRIME)  # first block byte
         assert chain_seed(C0, 1, perturbed.proofs[0]) != chain_seed(C0, 1, post.proofs[0])
 
     def test_verification_replays_from_transcript_alone(self):
-        manifest, replica, store, tree = _world()
+        manifest, store, tree = _world()
         cost = CostModel()
         post = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
         wire = json.dumps(post_to_dict(post), sort_keys=True)
         revived = post_from_dict(json.loads(wire))
         assert revived == post
-        assert verify_post(manifest, replica.replica_root, revived, _strict_policy(cost))
+        assert verify_post(manifest, tree.root, revived, _strict_policy(cost))
+
+
+def test_reject_names_the_highest_ranked_failure():
+    # Link 0 fails a chain check, link 1 its content and link 2 its deadline.
+    # The verdict names timing over sampling over chain, whatever the link.
+    manifest, store, tree = _world()
+    cost = CostModel()
+    policy = _strict_policy(cost)
+    post = generate_post(store, tree, C0, 3, SimClock(), cost, k_prime=K_PRIME)
+    honest = post.proofs
+    nudged = replace(honest[0], finished_at=honest[0].finished_at + 1)
+    flipped = mutate_proof_byte(post, 1, 8 * K_PRIME).proofs[1]  # first block byte
+    late = replace(honest[2], finished_at=honest[2].started_at + policy.t_max + 1)
+
+    def reason(*links):
+        return verify_post(manifest, tree.root, PoStProof(C0, links), policy).reason
+
+    assert reason(nudged, flipped, late) == "timing"
+    assert reason(nudged, flipped, honest[2]) == "sampling"
+    assert reason(nudged, honest[1], honest[2]) == "chain"
+    assert reason(*honest) is None
 
 
 def test_transcript_stats_measures_chain_size():
-    _, _, store, tree = _world()
+    _, store, tree = _world()
     cost = CostModel()
     post = generate_post(store, tree, C0, 5, SimClock(), cost, k_prime=K_PRIME)
     stats = transcript_stats(post)
