@@ -12,7 +12,7 @@ The package layers up from content commitments to timed protocols:
 * cli           - `porstore` command-line front end
 """
 
-from .costs import CostModel, SimClock, TimingPolicy, default_t_max
+from .costs import CostModel, TimingPolicy, default_t_max
 from .erasure import EncodedBlocks, decode, encode
 from .errors import (
     ConfigError,

@@ -29,7 +29,7 @@ import string
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .costs import CostModel, SimClock, TimingPolicy, default_t_max
+from .costs import CostModel, TimingPolicy, default_t_max
 from .encoding import le64
 from .erasure import DEFAULT_REDUNDANCY
 from .errors import EmptyInput, InvalidParams, MalformedInput, PorstoreError, expect
@@ -310,7 +310,7 @@ def cmd_post_gen(args) -> int:
     c0 = _bytes32(args.c0, "--c0") if args.c0 is not None else hash_bytes(replica_root + le64(args.epoch))
     replica = _replica_files(args.replica_dir, manifest)
     tree = replica.read_tree(manifest.k)
-    post = generate_post(replica, tree, c0, args.length, SimClock(), _cost_model(), k_prime=args.k_prime)
+    post = generate_post(replica, tree, c0, args.length, _cost_model(), k_prime=args.k_prime)
     _write_json(args.out, post_to_dict(post))
     payload = {"c0_hex": c0.hex(), "length": post.length, "total_cost": post.total_cost, "transcript_path": args.out}
     _emit(payload, args.json, [
@@ -441,8 +441,9 @@ def cmd_experiment(args) -> int:
     if args.workers < 1:
         raise InvalidParams(f"--workers must be >= 1, got {args.workers}")
     config = ExperimentConfig.from_dict(_read_json(args.config))
-    # Processes beyond the core count add start-up cost and no parallelism.
-    workers = min(args.workers, os.cpu_count() or 1)
+    # Processes beyond the usable CPUs add start-up cost and no parallelism;
+    # the report is the same at any worker count.
+    workers = min(args.workers, _available_cpus())
     report = run_experiment(config, cost=_cost_model(), workers=workers)
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,11 +1,12 @@
-"""Simulated time: the cost model and clock behind every timed proof.
+"""Simulated time: the cost model behind every timed proof.
 
-All timing in this package is simulated, not wall-clock.  Provers charge
-costs (in abstract units) to a SimClock; verifiers judge the recorded
-timestamps against a TimingPolicy.  This keeps the timing arguments exact
-and the test suite deterministic: what matters is the cost *ratio* between
-an honest read and an on-demand reseal or remote fetch, and that ratio is
-preserved by construction.
+All timing in this package is simulated, not wall-clock.  A prover stamps
+each proof with its start and its start plus the cost (in abstract units)
+of the work; verifiers judge the recorded timestamps against a
+TimingPolicy.  This keeps the timing arguments exact and the test suite
+deterministic: what matters is the cost *ratio* between an honest read and
+an on-demand reseal or remote fetch, and that ratio is preserved by
+construction.
 """
 
 from __future__ import annotations
@@ -53,18 +54,6 @@ class CostModel:
     def from_json_file(cls, path: str) -> "CostModel":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-class SimClock:
-    """Monotone simulated clock owned by one execution lane."""
-
-    def __init__(self, start: int = 0):
-        self.now = start
-
-    def advance(self, units: int) -> None:
-        if units < 0:
-            raise InvalidParams("clock cannot run backwards")
-        self.now += units
 
 
 @dataclass(frozen=True)

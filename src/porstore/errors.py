@@ -1,5 +1,5 @@
 """Exception taxonomy shared by all protocol modules, and the JSON type
-check their decoders share."""
+checks their decoders share."""
 
 
 class PorstoreError(Exception):
@@ -58,3 +58,11 @@ def expect(value, kind: type | tuple[type, ...], what: str):
         return value
     names = " or ".join(k.__name__ for k in (kind if type(kind) is tuple else (kind,)))
     raise MalformedInput(f"{what} must be {names}, got {type(value).__name__}")
+
+
+def expect_u64(value, what: str) -> int:
+    """Return a decoded JSON int in [0, 2^64), the range a transcript's
+    8-byte fields encode, else raise MalformedInput."""
+    if not 0 <= expect(value, int, what) < 1 << 64:
+        raise MalformedInput(f"{what} must be in [0, 2^64), got {value}")
+    return value

@@ -22,7 +22,7 @@ from functools import cached_property
 from hashlib import sha256
 from typing import Iterable, Mapping, Sequence
 
-from .costs import CostModel, SimClock, TimingPolicy
+from .costs import CostModel, TimingPolicy
 from .encoding import le64
 from .errors import InvalidParams
 from .merkle import Block, Digest, MerkleTree, build_tree, expand_bytes, hash_bytes, path_length
@@ -109,23 +109,21 @@ def honest_response_cost(k: int, indices: tuple[int, ...], cost: CostModel) -> i
 
 
 def respond_timed(
-    blocks: Mapping[int, bytes], tree: MerkleTree, challenge: SamplingChallenge, clock: SimClock, units: int
+    blocks: Mapping[int, bytes], tree: MerkleTree, challenge: SamplingChallenge, started: int, units: int
 ) -> PoRepProof:
-    """Answer from a block store and its tree, charging the clock `units`
-    of simulated time for the work."""
-    started = clock.now
+    """Answer from a block store and its tree; the work takes `units` of
+    simulated time, so the proof is stamped (started, started + units)."""
     response = respond_sampling(blocks, tree, challenge)
-    clock.advance(units)
-    return PoRepProof(challenge=challenge, response=response, started_at=started, finished_at=clock.now)
+    return PoRepProof(challenge=challenge, response=response, started_at=started, finished_at=started + units)
 
 
 def porep_respond(
-    blocks: Mapping[int, bytes], tree: MerkleTree, challenge: SamplingChallenge, clock: SimClock, cost: CostModel
+    blocks: Mapping[int, bytes], tree: MerkleTree, challenge: SamplingChallenge, started: int, cost: CostModel
 ) -> PoRepProof:
-    """Honest prover: read the challenged sealed blocks, serve their paths
-    from the replica tree, charge the clock."""
+    """Honest prover: read the challenged sealed blocks and serve their
+    paths from the replica tree, starting at simulated time `started`."""
     units = honest_response_cost(tree.leaf_count, challenge.indices, cost)
-    return respond_timed(blocks, tree, challenge, clock, units)
+    return respond_timed(blocks, tree, challenge, started, units)
 
 
 def _check_links(manifest: FileManifest, root: Digest, links: Sequence[PoRepProof], policy: TimingPolicy) -> Verdict:

@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from .encoding import le64
 from .erasure import CodeParams, encode as rs_encode
-from .errors import EmptyInput, InvalidParams, NonceReplay, expect
+from .errors import EmptyInput, InvalidParams, NonceReplay, expect, expect_u64
 from .merkle import Block, Digest, MerklePath, MerkleTree, build_tree, hash_bytes, prove_leaf, verify_leaf
 
 DEFAULT_BLOCK_SIZE = 4096
@@ -266,7 +266,7 @@ def challenge_from_dict(d) -> SamplingChallenge:
     return SamplingChallenge(
         seed=bytes.fromhex(expect(d["seed_hex"], str, "seed_hex")),
         epoch=expect(d["epoch"], int, "epoch"),
-        indices=tuple(expect(i, int, "an index") for i in expect(d["indices"], list, "indices")),
+        indices=tuple(expect_u64(i, "an index") for i in expect(d["indices"], list, "indices")),
     )
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .costs import CostModel, SimClock, TimingPolicy
+from .costs import CostModel, TimingPolicy
 from .encoding import le64
-from .errors import InvalidParams, expect
+from .errors import InvalidParams, expect, expect_u64
 from .merkle import Digest, MerkleTree, hash_bytes
 from .pos import (
     ACCEPT,
@@ -71,18 +71,19 @@ def chain_seed(c0: bytes, counter: int, previous: PoRepProof | None) -> Digest:
 
 
 def run_chain(
-    c0: bytes, length: int, k: int, k_prime: int, respond: Callable[[int, SamplingChallenge], PoRepProof]
+    c0: bytes, length: int, k: int, k_prime: int, respond: Callable[[int, SamplingChallenge, int], PoRepProof]
 ) -> PoStProof:
     """Drive the chain: link i's challenge is seeded by link i-1's proof and
-    answered by respond(i, challenge), so each link starts only when its
-    predecessor ends."""
+    answered by respond(i, challenge, started).  The first link starts at
+    simulated time 0 and every later one at its predecessor's finished_at,
+    so the links abut and the chain depends on nothing outside its audit."""
     if length < 1:
         raise InvalidParams("chain length must be >= 1")
     proofs: list[PoRepProof] = []
     previous = None
     for i in range(length):
         challenge = derive_sampling_challenge(chain_seed(c0, i, previous), i, k, k_prime)
-        previous = respond(i, challenge)
+        previous = respond(i, challenge, previous.finished_at if previous is not None else 0)
         proofs.append(previous)
     return PoStProof(initial_challenge=c0, proofs=tuple(proofs))
 
@@ -92,7 +93,6 @@ def generate_post(
     tree: MerkleTree,
     c0: bytes,
     length: int,
-    clock: SimClock,
     cost: CostModel,
     k_prime: int = DEFAULT_K_PRIME,
 ) -> PoStProof:
@@ -100,7 +100,7 @@ def generate_post(
     and its tree."""
     return run_chain(
         c0, length, tree.leaf_count, k_prime,
-        lambda _, challenge: porep_respond(blocks, tree, challenge, clock, cost),
+        lambda _, challenge, started: porep_respond(blocks, tree, challenge, started, cost),
     )
 
 
@@ -152,8 +152,8 @@ def porep_proof_from_dict(d) -> PoRepProof:
     return PoRepProof(
         challenge=challenge_from_dict(d["challenge"]),
         response=response_from_dict(d),
-        started_at=expect(d["started_at"], int, "started_at"),
-        finished_at=expect(d["finished_at"], int, "finished_at"),
+        started_at=expect_u64(d["started_at"], "started_at"),
+        finished_at=expect_u64(d["finished_at"], "finished_at"),
     )
 
 

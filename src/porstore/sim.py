@@ -1,10 +1,10 @@
 """Deterministic simulation of a storage network under audit.
 
 One SimWorld holds a file commitment, a set of nodes (honest or running
-one of the classic storage attacks), a cost model, and a monotone clock.
-Each epoch the auditor derives a fresh challenge from the public
-commitment and the epoch number, every node answers according to its
-behavior, and the verifier's verdicts land in the audit log.
+one of the classic storage attacks), and a cost model.  Each epoch the
+auditor derives a fresh challenge from the public commitment and the
+epoch number, every node answers according to its behavior, and the
+verifier's verdicts land in the audit log.
 
 Behaviors are strategy objects: each supplies a label, an identity count,
 a view of the node's block store, and the simulated time it charges per
@@ -34,9 +34,11 @@ timed replication protocols exist; the detection matrix in the report
 makes that visible.
 
 Everything is derived from rng_seed, so identical configs produce
-byte-identical reports.  With parallel workers the world is sealed once
-across the process pool and shipped to the epoch workers as bytes; trials
-share only that read-only state and aggregate by summation.
+byte-identical reports.  Every audit starts its own simulated time at 0,
+so a lane's verdicts depend only on its own data and challenges, never on
+the lanes or epochs run before it.  With parallel workers the world is
+sealed once across the process pool and shipped to the epoch workers as
+bytes; trials share only that read-only state and aggregate by summation.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from random import Random
 from typing import Callable, ClassVar, Mapping, Optional
 
-from .costs import CostModel, SimClock, TimingPolicy, default_t_max
+from .costs import CostModel, TimingPolicy, default_t_max
 from .encoding import le64
 from .errors import ConfigError, InvalidParams, expect
 from .merkle import Block, MerkleTree, expand_bytes, hash_bytes, path_length
@@ -330,7 +332,6 @@ class SimWorld:
         computing a keystream."""
         self.config = config
         self.cost = cost or CostModel()
-        self.clock = SimClock()
         self.rng_seed = config.rng_seed
         self.audit_log: list[AuditRecord] = []
         self.nodes: dict[str, NodeState] = {}
@@ -398,13 +399,15 @@ class SimWorld:
         self.audit_log.extend(records)
         return records
 
-    def _respond(self, node: NodeState, identity: int, challenge: SamplingChallenge, resealing: bool) -> PoRepProof:
-        """One response under the node's behavior; charges the clock."""
+    def _respond(
+        self, node: NodeState, identity: int, challenge: SamplingChallenge, resealing: bool, started: int = 0
+    ) -> PoRepProof:
+        """One response under the node's behavior, starting at `started`."""
         units = node.behavior.charge(
             self.cost, self.config.delay_iters, self.manifest.k, challenge.indices, identity, resealing
         )
         store = node.view(node.stores[identity], challenge.seed)
-        return respond_timed(store, node.trees[identity], challenge, self.clock, units)
+        return respond_timed(store, node.trees[identity], challenge, started, units)
 
     def _challenge(self, node: NodeState, identity: int, epoch: int) -> SamplingChallenge:
         seed = hash_bytes(node.trees[identity].root + le64(epoch))
@@ -430,7 +433,7 @@ class SimWorld:
         # regenerated for every later one.
         post = run_chain(
             hash_bytes(root + le64(epoch)), self.config.post_length, self.manifest.k, self.config.k_prime,
-            lambda i, challenge: self._respond(node, identity, challenge, resealing=i > 0),
+            lambda i, challenge, started: self._respond(node, identity, challenge, i > 0, started),
         )
         verdict = verify_post(self.manifest, root, post, self._policy(strict=True))
         return verdict, post.total_cost, sum(len(p.encoded) for p in post.proofs)
@@ -610,11 +613,9 @@ def run_experiment(config: ExperimentConfig, cost: Optional[CostModel] = None, w
     split into ranges and each (identity, range) is a job.  Then the epoch
     range is split into contiguous chunks, and each chunk assembles its
     world from the sealed bytes without recomputing a keystream.  Every
-    chunk sees the same world and merging is pure summation, so pos and
-    porep reports match a serial run byte for byte.  Under post each
-    chunk's clock starts at zero where a serial run's has moved on, and
-    chain seeds cover the timestamps: the reports match only while no
-    verdict, charge or size depends on which blocks a link challenges.
+    chunk sees the same world, every audit starts its own simulated time,
+    and merging is pure summation, so reports match a serial run byte for
+    byte under every protocol.
     """
     cost = cost or CostModel()
     if workers <= 1:

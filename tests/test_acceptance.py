@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from mutation import canonical_length, mutate_proof_byte
-from porstore.costs import CostModel, SimClock, TimingPolicy, default_t_max
+from porstore.costs import CostModel, TimingPolicy, default_t_max
 from porstore.encoding import bytes_to_symbols
 from porstore.erasure import decode, encode
 from porstore.errors import InsufficientShards, NonceReplay
@@ -125,7 +125,7 @@ def test_criterion_5_post_chain_integrity():
     policy = TimingPolicy(t_max=default_t_max(k_prime, COST), k_prime=k_prime, expected_cost=COST)
 
     # (a) honest chain verifies
-    post = generate_post(store, tree, b"\x62" * 32, length, SimClock(), COST, k_prime=k_prime)
+    post = generate_post(store, tree, b"\x62" * 32, length, COST, k_prime=k_prime)
     assert verify_post(manifest, tree.root, post, policy)
 
     # (b) 12 proofs x 20 sampled byte positions, all rejected
@@ -243,7 +243,7 @@ def test_criterion_7_completeness_and_soundness_suite():
 
     sealed = seal_blocks(blocks, SealParams(delay_iters=100, node_tag=b"c7", salt=b"\x66" * 32))
     replica_tree = sealed_tree(sealed)
-    proof = porep_respond(dict(enumerate(sealed)), replica_tree, ch, SimClock(), COST)
+    proof = porep_respond(dict(enumerate(sealed)), replica_tree, ch, 0, COST)
     policy = TimingPolicy(t_max=default_t_max(8, COST), k_prime=8)
     assert porep_verify(manifest, replica_tree.root, proof, policy)
     wrong_root = bytes([replica_tree.root[0] ^ 1]) + replica_tree.root[1:]
@@ -268,4 +268,16 @@ def test_criterion_8_deterministic_reports():
         behaviors=(Dropper(0.25),), trials=500, rng_seed=bytes.fromhex("ab" * 32),
     )
     assert run_experiment(pos_cfg).to_json() == run_experiment(pos_cfg, workers=4).to_json()
+
+    # Under post a dropper's verdicts and proof sizes, and at k = 12 the path
+    # lengths, depend on which blocks each link challenges.
+    post_cfg = ExperimentConfig(
+        protocol="post", k=12, k_prime=4, block_size=64,
+        behaviors=(Honest(), Dropper(0.3), GenerationAttacker()), trials=30,
+        rng_seed=bytes.fromhex("cd" * 32), delay_iters=50, post_length=4,
+    )
+    post_serial = run_experiment(post_cfg, cost=COST)
+    post_parallel = run_experiment(post_cfg, cost=COST, workers=3)
+    assert post_serial.to_json() == post_parallel.to_json()
+    assert post_serial.to_csv() == post_parallel.to_csv()
     _passed(8, "re-runs byte-identical (JSON and CSV), serial and parallel")

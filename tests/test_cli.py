@@ -11,7 +11,7 @@ import pytest
 
 from porstore import cli
 from porstore.cli import main
-from porstore.costs import CostModel, SimClock
+from porstore.costs import CostModel
 from porstore.encoding import le64
 from porstore.merkle import Block, build_tree, decode_tree, hash_bytes
 from porstore.porep import SealParams, seal_blocks, sealed_tree, split_ranges
@@ -279,7 +279,7 @@ class TestTreeFile:
         sealed_blocks = {i: (replica_dir / f"f0.sealed{i}").read_bytes() for i in range(doc.k)}
         root = bytes.fromhex(json.loads(replica_manifest.read_text())["replica_root_hex"])
         post = generate_post(sealed_blocks, sealed_tree(list(sealed_blocks.values())),
-                             hash_bytes(root + le64(0)), 3, SimClock(), CostModel(), k_prime=6)
+                             hash_bytes(root + le64(0)), 3, CostModel(), k_prime=6)
         chain = tmp_path / "chain.json"
         assert _post_gen(manifest, replica_dir, chain) == 0
         assert json.loads(chain.read_text()) == post_to_dict(post)
@@ -498,6 +498,28 @@ class TestSealAndPost:
         ]), capsys)
         _assert_one_line_usage_error(main(["post", "stats", "--transcript", str(transcript)]), capsys)
 
+    @pytest.mark.parametrize("rewrite", [
+        lambda link: link["challenge"]["indices"].__setitem__(0, -1),
+        lambda link: link["challenge"]["indices"].__setitem__(-1, 1 << 64),
+        lambda link: link.update(started_at=-link["finished_at"], finished_at=0),  # same elapsed, from -cost
+        lambda link: link.update(finished_at=1 << 64),
+    ], ids=["index-minus-one", "index-two-to-the-64", "started-at-minus-cost", "finished-at-two-to-the-64"])
+    def test_transcript_integer_outside_eight_bytes_is_usage_error(self, sealed, tmp_path, capsys, rewrite):
+        # Indices and timestamps are encoded as 8-byte counters in every chain seed.
+        store, manifest, replica_dir, replica_manifest = sealed
+        transcript = tmp_path / "chain.json"
+        assert _post_gen(manifest, replica_dir, transcript, "--length", "2") == 0
+        doc = json.loads(transcript.read_text())
+        rewrite(doc["proofs"][0])
+        transcript.write_text(json.dumps(doc))
+        capsys.readouterr()
+        _assert_one_line_usage_error(main(["post", "stats", "--transcript", str(transcript)]), capsys)
+        for strict in ((), ("--strict",)):
+            _assert_one_line_usage_error(main([
+                "post", "verify", "--manifest", str(manifest), "--replica-manifest", str(replica_manifest),
+                "--transcript", str(transcript), *strict,
+            ]), capsys)
+
 
 class TestShare:
     def test_split_join_round_trip(self, tmp_path):
@@ -651,11 +673,13 @@ class TestExperimentCommand:
             return real(config, cost=cost)  # serial: start no process
 
         monkeypatch.setattr(cli, "run_experiment", record)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # The CPUs this process may run on, as seal counts them, not os.cpu_count().
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 2)
         for value in ("1", "2", "3", "4096"):
             assert main(["experiment", str(cfg), "--workers", value, "--json"]) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert main(["experiment", str(cfg), "--workers", "8", "--json"]) == 0
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        assert main(["experiment", str(cfg), "--workers", "4", "--json"]) == 0
         assert seen == [1, 2, 2, 2, 1]
 
     @pytest.mark.parametrize("path, value", [

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from porstore.costs import CostModel, SimClock, TimingPolicy, default_t_max
+from porstore.costs import CostModel, TimingPolicy, default_t_max
 from porstore.encoding import le64
 from porstore.errors import EmptyInput, InvalidParams
 from porstore.merkle import Block, hash_bytes
@@ -125,9 +125,8 @@ class TestTimedAudit:
     def test_honest_holder_accepted(self):
         manifest, _, params, sealed = _sealed_world()
         cost = CostModel()
-        clock = SimClock()
         ch = derive_sampling_challenge(b"\x22" * 32, 0, manifest.k, 5)
-        proof = porep_respond(*_held(sealed), ch, clock, cost)
+        proof = porep_respond(*_held(sealed), ch, 0, cost)
         policy = TimingPolicy(t_max=default_t_max(5, cost), k_prime=5)
         assert porep_verify(manifest, sealed_tree(sealed).root, proof, policy)
 
@@ -140,20 +139,17 @@ class TestTimedAudit:
         k_prime = 5
         policy = TimingPolicy(t_max=default_t_max(k_prime, cost), k_prime=k_prime)
         assert policy.t_max < d * cost.hash_cost
-        clock = SimClock()
         ch = derive_sampling_challenge(b"\x23" * 32, 0, manifest.k, k_prime)
-        started = clock.now
-        honest = porep_respond(*_held(sealed), ch, clock, cost)
-        clock.advance(k_prime * d * cost.hash_cost)  # the reseal penalty
-        slow = PoRepProof(challenge=ch, response=honest.response, started_at=started, finished_at=clock.now)
+        honest = porep_respond(*_held(sealed), ch, 0, cost)
+        reseal = k_prime * d * cost.hash_cost  # the reseal penalty
+        slow = PoRepProof(challenge=ch, response=honest.response, started_at=0, finished_at=honest.finished_at + reseal)
         assert not porep_verify(manifest, sealed_tree(sealed).root, slow, policy)
 
     def test_valid_timing_substituted_block_rejected(self):
         manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
-        clock = SimClock()
         ch = derive_sampling_challenge(b"\x24" * 32, 0, manifest.k, 4)
-        proof = porep_respond(*_held(sealed), ch, clock, cost)
+        proof = porep_respond(*_held(sealed), ch, 0, cost)
         block, path = proof.response.items[0]
         swapped = (Block(block.index, b"\x99" * len(block.data)), path)
         bad_response = type(proof.response)(items=(swapped,) + proof.response.items[1:])
@@ -164,7 +160,7 @@ class TestTimedAudit:
         manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x25" * 32, 0, manifest.k, 2)
-        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
+        proof = porep_respond(*_held(sealed), ch, 0, cost)
         policy = TimingPolicy(t_max=10_000, k_prime=5)
         assert not porep_verify(manifest, sealed_tree(sealed).root, proof, policy)
 
@@ -172,7 +168,7 @@ class TestTimedAudit:
         manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x26" * 32, 0, manifest.k, 3)
-        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
+        proof = porep_respond(*_held(sealed), ch, 0, cost)
         strict = TimingPolicy(t_max=10_000, k_prime=3, expected_cost=cost)
         assert porep_verify(manifest, sealed_tree(sealed).root, proof, strict)
         nudged = PoRepProof(ch, proof.response, proof.started_at, proof.finished_at + 1)
@@ -193,7 +189,7 @@ class TestTimedAudit:
         manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x28" * 32, 0, manifest.k, 2)
-        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
+        proof = porep_respond(*_held(sealed), ch, 0, cost)
         bad = PoRepProof(ch, proof.response, proof.started_at + 10**6, proof.finished_at)
         assert not porep_verify(manifest, sealed_tree(sealed).root, bad, TimingPolicy(default_t_max(2, cost), 2))
 
@@ -201,7 +197,7 @@ class TestTimedAudit:
         manifest, _, _, sealed = _sealed_world()
         cost = CostModel()
         ch = derive_sampling_challenge(b"\x29" * 32, 0, manifest.k, 3)
-        proof = porep_respond(*_held(sealed), ch, SimClock(), cost)
+        proof = porep_respond(*_held(sealed), ch, 0, cost)
         root = sealed_tree(sealed).root
         strict = TimingPolicy(t_max=default_t_max(3, cost), k_prime=3, expected_cost=cost)
         block, path = proof.response.items[0]

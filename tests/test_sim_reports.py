@@ -41,12 +41,12 @@ PINNED = {
         "e84829e1195d43b37949b27dd3db46728b24a3c52fa8e1188834dd97934181a0",
     ),
     ("post", 1): (
-        "923e60c98086b0a72d389334aed2bea74276dd411a3db58cc12ab696b9b7b9bb",
-        "ea985508e088f91a6a0e4d884feb5bfc03c5f2243de74804e4b5eb222f8ba572",
+        "3582a962817dbf764d5eddbd106c04776aeb1643834e0d2615992682a8055bf6",
+        "3bacc7a264d48bd065e501e55fff2b275ef9aa465fe24f8bf9c2d77b9e18bbff",
     ),
     ("post", 200): (
-        "8713123c72f5adf170eb0402dcdb91fb0c08763061c72cfb9815cc06638846dd",
-        "fbb060032878a4d59fba636ff9b312c162ac2d5c99b57e805634bbcdf3696573",
+        "5fd3508361211c79a31ad7794c536a836557d2ede8389f07960aa95943ecc937",
+        "9ee81790fd20ca6d1887a817157e93a7e5e70a193207130d3cd27a852d6ba10a",
     ),
 }
 
